@@ -1,22 +1,14 @@
-// The unified runtime: one slot-driven event loop for every algorithm.
-//
-// Engine owns the discrete-time simulation the paper's §IV experiments run
-// on — per slot: (optional) plan hot-swap at the deterministic re-plan
-// boundary, substrate failure/recovery events with migration-based repair
-// (EngineConfig::failures, docs/failures.md), releases of departing
-// requests, this slot's arrivals in trace order, then metric accrual — and
-// exposes it twice:
-//
-//  * run(algo, trace)        — the ON-VNE loop for per-request embedders
-//                              (OLIVE / QUICKG / FULLG / any plugin);
-//  * run_slotoff(trace, ...) — the SLOTOFF baseline's per-slot OFF-VNE
-//                              re-solve loop.
-//
-// Observers hook the loop without perturbing it (`on_slot_begin`,
-// `on_outcome`, `on_replan`, `on_failure`); a ReplanPolicy
-// (engine/replan.hpp) makes the run re-plan mid-flight.  The legacy free functions `core::run_online` /
-// `core::run_slotoff` and the string-dispatch `core::run_algorithm` are thin
-// wrappers over this class and the EmbedderRegistry (engine/registry.hpp).
+// The unified runtime: the discrete-time simulation the paper's §IV
+// experiments run on, for every algorithm.  run(algo, trace) and
+// run_stream(algo, stream) are the ON-VNE loop for per-request embedders
+// (OLIVE / QUICKG / FULLG / any plugin) — both hand every slot to
+// engine::SlotKernel (engine/kernel.hpp), the one place the slot order
+// lives; run_slotoff(trace, ...) is the SLOTOFF baseline's per-slot OFF-VNE
+// re-solve loop.  Observers hook the loop without perturbing it; a
+// ReplanPolicy (engine/replan.hpp) makes the run re-plan mid-flight.  The
+// legacy free functions `core::run_online` / `core::run_slotoff` and the
+// string-dispatch `core::run_algorithm` are thin wrappers over this class
+// and the EmbedderRegistry (engine/registry.hpp).
 //
 // Determinism: with the same config, trace, and algorithm, a run is
 // bit-identical at every `OLIVE_THREADS` value — re-plan solves are
@@ -102,8 +94,7 @@ struct FailureHandling {
 
 struct EngineConfig {
   core::SimulatorConfig sim;
-  /// Mid-run re-planning; `replan.period == 0` (the default) disables it
-  /// and makes Engine::run bit-identical to the pre-engine run_online.
+  /// Mid-run re-planning; `replan.period == 0` (the default) disables it.
   ReplanConfig replan;
   /// Substrate failure/recovery dynamics.  Engine::run migrates or drops
   /// the embeddings each event breaks; run_slotoff folds the shrunk
@@ -131,21 +122,23 @@ class Engine {
   const EngineConfig& config() const noexcept { return config_; }
 
   /// Runs a per-request online embedder over the trace (slots re-based so
-  /// the first arrival is slot 0).  With re-planning configured, trailing
-  /// demand windows are re-solved asynchronously and hot-swapped via
-  /// OnlineEmbedder::install_plan at each policy-fixed install slot.
+  /// the first arrival is slot 0): exactly run_stream over a
+  /// VectorTraceStream of `trace`, whose horizon is the last arrival + 1.
+  /// With re-planning configured, trailing demand windows are re-solved
+  /// asynchronously and hot-swapped via OnlineEmbedder::install_plan at each
+  /// policy-fixed install slot.
   core::SimMetrics run(core::OnlineEmbedder& algo,
                        const workload::Trace& trace);
 
   /// Runs a per-request online embedder over a *streamed* trace
   /// (workload::TraceStream): requests are pulled slot by slot and active
   /// ones stored by value, so a 10^6+-request run holds memory proportional
-  /// to the number of *concurrently active* requests, not the trace length.
-  /// Bit-identical to run() on the materialized trace whenever the stream's
-  /// declared horizon covers the drain window (pinned by
-  /// tests/engine_test.cpp).  Restrictions — enforced, not silent: no
-  /// failure trace, no re-planning, no per-request records (all three
-  /// need random access to the full trace or per-request history).
+  /// to the number of *concurrently active* requests, not the trace length
+  /// (per-request records, when enabled, still grow with the trace).
+  /// Bit-identical to run() on the materialized trace whenever the two
+  /// horizons agree — always for a stream whose declared end is the last
+  /// arrival + 1, and whenever the drain cap binds (pinned by
+  /// tests/stream_test.cpp, with failures, re-planning and records too).
   core::SimMetrics run_stream(core::OnlineEmbedder& algo,
                               workload::TraceStream& stream);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -164,16 +165,18 @@ ReplanPolicy::ReplanPolicy(const net::SubstrateNetwork& substrate,
     OLIVE_REQUIRE(config_.window >= 0, "replan window must be >= 0");
     OLIVE_REQUIRE(config_.candidates >= 1, "replan candidates must be >= 1");
   }
+  window_ = config_.window > 0 ? config_.window : config_.period;
+  for (int k = 0; k < std::max(1, config_.candidates); ++k)
+    longest_window_ = std::max(longest_window_,
+                               candidate_recipe(k, config_, window_).window);
 }
 
 ReplanPolicy::~ReplanPolicy() {
   // A solve launched near the end of the run may never reach its install
   // slot; join it so the captured references stay valid until it finishes.
-  if (pending_) {
-    if (pending_->result.valid()) pending_->result.wait();
-    for (auto& f : pending_->portfolio)
+  if (pending_)
+    for (auto& f : pending_->candidates)
       if (f.valid()) f.wait();
-  }
 }
 
 bool ReplanPolicy::wants_launch(std::int64_t slot) const noexcept {
@@ -182,17 +185,37 @@ bool ReplanPolicy::wants_launch(std::int64_t slot) const noexcept {
   return config_.failure_burst > 0 && failure_hits_ >= config_.failure_burst;
 }
 
-void ReplanPolicy::launch(const workload::Trace& trace, int base,
-                          std::int64_t slot,
+void ReplanPolicy::observe(const workload::Request* batch, std::size_t n,
+                           std::int64_t slot) {
+  const int arrival = static_cast<int>(
+      std::min<std::int64_t>(slot, std::numeric_limits<int>::max()));
+  for (std::size_t i = 0; i < n; ++i) {
+    feed_.push_back(batch[i]);
+    feed_.back().arrival = arrival;
+  }
+}
+
+workload::Trace ReplanPolicy::demand_window(std::int64_t from,
+                                            std::int64_t slot) const {
+  return clip_window(feed_, /*base=*/0, from, slot);
+}
+
+void ReplanPolicy::launch(std::int64_t slot,
                           const std::vector<double>& capacities,
                           const core::OnlineEmbedder* world,
                           const std::vector<double>* psi) {
   OLIVE_ASSERT(!pending_);
   failure_hits_ = 0;  // the burst trigger re-arms per launch attempt
-  const int window = config_.window > 0 ? config_.window : config_.period;
-  const std::int64_t from = std::max<std::int64_t>(0, slot - window);
+  // Keep every request still active when the widest candidate window opens
+  // — clip_window keeps those too, clipped to the window — and drop the
+  // rest: no later launch can reach them, its windows open later still.
+  const std::int64_t keep_from = slot - longest_window_;
+  std::erase_if(feed_, [keep_from](const workload::Request& r) {
+    return static_cast<std::int64_t>(r.arrival) + r.duration <= keep_from;
+  });
+  const std::int64_t from = std::max<std::int64_t>(0, slot - window_);
 
-  workload::Trace clipped = clip_window(trace, base, from, slot);
+  workload::Trace clipped = demand_window(from, slot);
   if (clipped.empty()) return;  // nothing to plan for this window
 
   core::AggregationConfig acfg = config_.aggregation;
@@ -207,77 +230,42 @@ void ReplanPolicy::launch(const workload::Trace& trace, int base,
   event.launch_slot = slot;
   event.install_slot = slot + config_.install_delay;
 
+  // Everything a candidate reads is captured by value on this (the
+  // kernel's) thread at the policy-fixed slot: its clipped window, its
+  // recipe and, for a portfolio, the world snapshot.  Candidate 0 is the
+  // exact baseline — with K == 1 it is the whole policy, solved with the
+  // column cache and basis carried from the previous re-plan (moved into
+  // the one task: consecutive solves never overlap, install_delay <
+  // period).  Portfolio candidates solve against private copies and are
+  // scored by replaying the trailing window; the scores are pure functions
+  // of those inputs, so the winner is the same at every thread count.
   const int K = std::max(1, config_.candidates);
-  if (K == 1) {
-    // The single-solve policy — the portfolio machinery below never runs,
-    // keeping candidates == 1 bit-identical to the pre-portfolio engine.
-    // The async solve: aggregate the window, then PLAN-VNE with the column
-    // cache and basis carried from the previous re-plan.  `this` outlives
-    // the future (the destructor joins), and consecutive solves never
-    // overlap (install_delay < period), so cache_/warm_ are touched by one
-    // task at a time.
-    auto task = [this, clipped = std::move(clipped), acfg, rng, event,
-                 capacities]() mutable -> Result {
-      // Wall clock feeds solve_seconds, a diagnostic only — never a
-      // decision.
-      const auto start = std::chrono::steady_clock::now();
-      const auto aggregates = core::aggregate_history(
-          clipped, static_cast<int>(apps_.size()), substrate_.num_nodes(),
-          acfg, rng);
-      Result out;
-      out.event = event;
-      // Capacity-aware pricing: the launch-slot snapshot rides in as the
-      // plan solver's overlay (empty = nominal; PlanVneConfig::capacities).
-      core::PlanVneConfig plan_cfg = config_.plan;
-      if (!capacities.empty()) plan_cfg.capacities = std::move(capacities);
-      out.plan = core::solve_plan_vne(
-          substrate_, apps_, aggregates, plan_cfg, &out.event.info, &cache_,
-          config_.warm_start ? &warm_ : nullptr);
-      out.event.classes = out.plan.num_classes();
-      out.event.solve_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      return out;
-    };
-    Pending p;
-    p.install_slot = event.install_slot;
-    p.result = ThreadPool::global().submit(std::move(task));
-    pending_ = std::move(p);
-    return;
+  core::WorldState snap;
+  if (K > 1) {
+    // The slot kernel refuses embedders without snapshot support up front.
+    OLIVE_ASSERT(world != nullptr && psi != nullptr);
+    snap = world->snapshot();
+    OLIVE_ASSERT(!snap.empty());
+    event.candidates = K;
   }
-
-  // Portfolio launch.  Everything a candidate reads is captured by value on
-  // this (the engine's) thread at the policy-fixed slot: the world snapshot,
-  // its private clipped window, its recipe, and private copies of the
-  // column cache and warm-start basis.  The K solves then race freely — the
-  // scores are pure functions of those inputs, so the winner is the same at
-  // every thread count.
-  OLIVE_REQUIRE(world != nullptr && psi != nullptr,
-                "portfolio re-planning (candidates > 1) needs the live "
-                "embedder and the rejection penalties");
-  core::WorldState snap = world->snapshot();
-  OLIVE_REQUIRE(!snap.empty(),
-                "portfolio re-planning requires an embedder with world "
-                "snapshot support (OnlineEmbedder::snapshot)");
-
-  event.candidates = K;
   const std::int64_t horizon = slot - from;
   Pending p;
   p.install_slot = event.install_slot;
   p.event = event;
-  p.portfolio.reserve(static_cast<std::size_t>(K));
+  p.candidates.reserve(static_cast<std::size_t>(K));
   for (int k = 0; k < K; ++k) {
-    const CandidateRecipe recipe = candidate_recipe(k, config_, window);
+    const CandidateRecipe recipe = candidate_recipe(k, config_, window_);
     const std::int64_t kfrom = std::max<std::int64_t>(0, slot - recipe.window);
     workload::Trace kclipped =
-        k == 0 ? clipped : clip_window(trace, base, kfrom, slot);
+        k == 0 ? clipped : demand_window(kfrom, slot);
     core::AggregationConfig kacfg = acfg;
     kacfg.alpha = recipe.alpha;
     kacfg.horizon = static_cast<int>(slot - kfrom);
     core::PlanVneConfig kplan = config_.plan;
     kplan.psi_scale = recipe.psi_scale;
     if (recipe.early_gap > 0) kplan.lp.early_term_gap = recipe.early_gap;
+    // Capacity-aware pricing: the launch-slot snapshot rides in as the plan
+    // solver's overlay (empty = nominal; PlanVneConfig::capacities).
     if (!capacities.empty()) kplan.capacities = capacities;
     // Candidate 0 keeps the launch's base stream; variations fork their own
     // so adding candidates never perturbs the baseline's bootstrap.
@@ -286,13 +274,22 @@ void ReplanPolicy::launch(const workload::Trace& trace, int base,
                : rng.fork(stable_hash("candidate"))
                      .fork(static_cast<std::uint64_t>(k));
 
-    auto task = [this, kclipped = std::move(kclipped), kacfg, krng,
-                 kplan = std::move(kplan), scoring = clipped, horizon,
-                 kpsi = *psi, snap, world]() mutable -> CandidateOutcome {
+    auto task = [this, K, kclipped = std::move(kclipped), kacfg, krng,
+                 kplan = std::move(kplan), scoring = K > 1 ? clipped
+                                                           : workload::Trace{},
+                 horizon, kpsi = K > 1 ? *psi : std::vector<double>{}, snap,
+                 world]() mutable -> CandidateOutcome {
+      // Wall clock feeds solve_seconds, a diagnostic only — never a
+      // decision.
       const auto start = std::chrono::steady_clock::now();
       CandidateOutcome out;
-      out.cache = cache_;  // private copies; collect() adopts the winner's
-      out.warm = warm_;
+      if (K == 1) {
+        out.cache = std::move(cache_);
+        out.warm = std::move(warm_);
+      } else {
+        out.cache = cache_;  // private copies; collect() adopts the winner's
+        out.warm = warm_;
+      }
       Rng rng_local = krng;
       const auto aggregates = core::aggregate_history(
           kclipped, static_cast<int>(apps_.size()), substrate_.num_nodes(),
@@ -301,20 +298,22 @@ void ReplanPolicy::launch(const workload::Trace& trace, int base,
           substrate_, apps_, aggregates, kplan, &out.info, &out.cache,
           config_.warm_start ? &out.warm : nullptr);
       out.classes = out.plan.num_classes();
-      // Score: clone the launch-slot world, install this candidate's plan,
-      // replay the (shared) trailing admission window, tally realized cost.
-      auto clone = world->fork(snap);
-      OLIVE_ASSERT(clone != nullptr);
-      clone->install_plan(out.plan);
-      out.replay = replay_window(*clone, scoring, horizon, kpsi);
-      out.score = out.replay.total();
+      if (K > 1) {
+        // Score: clone the launch-slot world, install this candidate's
+        // plan, replay the (shared) trailing admission window.
+        auto clone = world->fork(snap);
+        OLIVE_ASSERT(clone != nullptr);
+        clone->install_plan(out.plan);
+        out.replay = replay_window(*clone, scoring, horizon, kpsi);
+        out.score = out.replay.total();
+      }
       out.solve_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
       return out;
     };
-    p.portfolio.push_back(ThreadPool::global().submit(std::move(task)));
+    p.candidates.push_back(ThreadPool::global().submit(std::move(task)));
   }
   pending_ = std::move(p);
 }
@@ -325,19 +324,13 @@ std::int64_t ReplanPolicy::pending_install_slot() const noexcept {
 
 ReplanPolicy::Result ReplanPolicy::collect() {
   OLIVE_ASSERT(pending_);
-  if (pending_->portfolio.empty()) {
-    Result out = pending_->result.get();
-    pending_.reset();
-    return out;
-  }
-
-  // Portfolio: wait for every candidate (deterministic — the install slot
-  // blocks on the slowest solve either way), pick the lowest realized cost,
-  // ties to the lowest index.  Adopt the winner's cache and basis so the
-  // carried warm-start state matches the plan actually installed.
+  // Wait for every candidate (deterministic — the install slot blocks on
+  // the slowest solve either way), pick the lowest realized cost, ties to
+  // the lowest index.  Adopt the winner's cache and basis so the carried
+  // warm-start state matches the plan actually installed.
   std::vector<CandidateOutcome> outcomes;
-  outcomes.reserve(pending_->portfolio.size());
-  for (auto& f : pending_->portfolio) outcomes.push_back(f.get());
+  outcomes.reserve(pending_->candidates.size());
+  for (auto& f : pending_->candidates) outcomes.push_back(f.get());
   int winner = 0;
   for (int k = 1; k < static_cast<int>(outcomes.size()); ++k)
     if (outcomes[k].score < outcomes[winner].score) winner = k;
@@ -345,9 +338,8 @@ ReplanPolicy::Result ReplanPolicy::collect() {
   Result out;
   out.event = pending_->event;
   out.event.winner = winner;
-  out.event.scores.reserve(outcomes.size());
   for (const auto& o : outcomes) {
-    out.event.scores.push_back(o.score);
+    if (outcomes.size() > 1) out.event.scores.push_back(o.score);
     out.event.solve_seconds = std::max(out.event.solve_seconds,
                                        o.solve_seconds);
   }

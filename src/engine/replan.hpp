@@ -151,8 +151,9 @@ struct ReplanEvent {
   std::vector<double> scores;
 };
 
-/// Owns the launch schedule, the async solve(s), and the cross-replan
-/// cache/warm-start state.  One instance lives inside each Engine run.
+/// Owns the launch schedule, the async solve(s), the cross-replan
+/// cache/warm-start state, and the demand feed the windows are clipped from.
+/// One instance lives inside each slot kernel (engine/kernel.hpp).
 class ReplanPolicy {
  public:
   ReplanPolicy(const net::SubstrateNetwork& substrate,
@@ -167,20 +168,32 @@ class ReplanPolicy {
   /// True when a new solve should launch at the beginning of `slot`.
   bool wants_launch(std::int64_t slot) const noexcept;
 
-  /// Launches the async PLAN-VNE solve(s) over the trailing window of
-  /// `trace` (slots are `arrival - base`; only arrivals strictly before
-  /// `slot` are visible — the policy is causal).  No-op if the window holds
-  /// no demand.  `capacities`, if non-empty, is the current-capacity
-  /// snapshot the solves price against (ReplanConfig::capacity_aware;
-  /// copied, so the caller's view may keep mutating while the solves fly).
-  /// Portfolio mode (candidates > 1) additionally needs `world` — the live
-  /// embedder, snapshotted here on the caller's thread at the policy-fixed
-  /// slot — and `psi`, the per-application rejection penalties the replay
-  /// scorer charges; the call refuses embedders without snapshot support.
-  void launch(const workload::Trace& trace, int base, std::int64_t slot,
-              const std::vector<double>& capacities = {},
-              const core::OnlineEmbedder* world = nullptr,
-              const std::vector<double>* psi = nullptr);
+  /// Appends one slot's arrivals to the demand feed, re-based to run slots
+  /// (arrival = `slot`, saturating at INT_MAX).  The slot kernel calls this
+  /// for every admitted batch while re-planning is enabled.
+  void observe(const workload::Request* batch, std::size_t n,
+               std::int64_t slot);
+
+  /// clip_window over every request observed so far: the feed clipped to
+  /// [from, slot) in window coordinates.  Launches prune the feed only of
+  /// requests that departed before the longest window any candidate may
+  /// use, so this equals clip_window over the full run's arrivals for every
+  /// window a launch can ask for.
+  workload::Trace demand_window(std::int64_t from, std::int64_t slot) const;
+
+  /// Launches the async PLAN-VNE solve(s) over the trailing window of the
+  /// demand feed (only arrivals strictly before `slot` have been observed —
+  /// the policy is causal).  No-op if the window holds no demand.
+  /// `capacities`, if non-empty, is the current-capacity snapshot the solves
+  /// price against (ReplanConfig::capacity_aware; copied, so the caller's
+  /// view may keep mutating while the solves fly).  Portfolio mode
+  /// (candidates > 1) additionally needs `world` — the live embedder,
+  /// snapshotted here on the caller's thread at the policy-fixed slot — and
+  /// `psi`, the per-application rejection penalties the replay scorer
+  /// charges.
+  void launch(std::int64_t slot, const std::vector<double>& capacities,
+              const core::OnlineEmbedder* world,
+              const std::vector<double>* psi);
 
   /// Install slot of the in-flight solve, or -1 when none is pending.
   std::int64_t pending_install_slot() const noexcept;
@@ -204,10 +217,11 @@ class ReplanPolicy {
   void note_failure_impact(int broken) noexcept { failure_hits_ += broken; }
 
  private:
-  /// One portfolio candidate's complete outcome.  Each candidate solves
-  /// against private copies of the column cache and warm-start basis;
-  /// collect() adopts the winner's, so the carried state always matches the
-  /// plan that was actually installed.
+  /// One candidate's complete outcome.  Each candidate solves against its
+  /// own column cache and warm-start basis (the carried ones when it is the
+  /// only candidate, private copies in a portfolio); collect() adopts the
+  /// winner's, so the carried state always matches the plan that was
+  /// actually installed.
   struct CandidateOutcome {
     core::Plan plan;
     core::PlanSolveInfo info;
@@ -221,15 +235,17 @@ class ReplanPolicy {
 
   struct Pending {
     std::int64_t install_slot = 0;
-    std::future<Result> result;  ///< the single solve when candidates == 1
-    /// The K concurrent candidate solves when candidates > 1.
-    std::vector<std::future<CandidateOutcome>> portfolio;
-    ReplanEvent event;  ///< base event the portfolio winner fills in
+    /// The K concurrent candidate solves (one when candidates == 1).
+    std::vector<std::future<CandidateOutcome>> candidates;
+    ReplanEvent event;  ///< base event the winner fills in
   };
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;
   ReplanConfig config_;
+  int window_ = 0;          ///< the baseline demand window, slots
+  int longest_window_ = 0;  ///< widest window any portfolio candidate uses
+  workload::Trace feed_;    ///< observed arrivals, run slots, arrival order
   core::PlanColumnCache cache_;
   core::PlanWarmStart warm_;
   std::optional<Pending> pending_;

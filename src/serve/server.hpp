@@ -1,23 +1,16 @@
-// serve::Server — the Engine's slot loop as a long-lived service
-// (docs/serving.md).
-//
-// One slot body, two clocks:
+// serve::Server — OLIVE's slot loop as a long-lived service
+// (docs/serving.md).  The slot body is engine::SlotKernel, the one the batch
+// engine runs; the server contributes its request source and its clock:
 //
 //  * run_simulated(algo, stream) drives a TraceStream under an internal
-//    SimulatedClock and is bit-identical to Engine::run_stream on the same
-//    inputs (pinned by tests/serve_test.cpp) — the determinism contract
-//    extends unchanged to the serving layer;
-//  * start(algo, clock) runs the same body against wall deadlines: producer
+//    SimulatedClock, bit-identical to Engine::run_stream on the same inputs
+//    (pinned by tests/serve_test.cpp) and reading no wall time;
+//  * start(algo, clock) runs the kernel against wall deadlines: producer
 //    threads submit() Requests through the lock-free MPSC queue, the
-//    serving thread drains them in batches, decides each admission via the
-//    OLIVE fast path, expires leases at slot boundaries (wall deadlines),
-//    hot-swaps re-planned allocations between batch drains, and records
-//    per-request admission latency into a log-scale histogram.
-//
-// Two-mode determinism contract: the SimulatedClock path reads no wall
-// time at all (bit-identical runs, zero wall entropy); the SteadyClock path
-// is inherently timing-dependent and is gated on throughput/latency
-// (bench/serve_load.cpp, CI cliff gate) instead of bit identity.
+//    serving thread drains them in batches into the kernel and records
+//    per-request admission latency into a log-scale histogram.  This path
+//    is timing-dependent and is gated on throughput/latency
+//    (bench/serve_load.cpp, CI cliff gate) instead of bit identity.
 #pragma once
 
 #include <atomic>
@@ -30,27 +23,32 @@
 
 #include "core/algorithm.hpp"
 #include "core/simulator.hpp"
+#include "engine/kernel.hpp"
 #include "engine/replan.hpp"
 #include "net/substrate.hpp"
 #include "net/vnet.hpp"
-#include "serve/clock.hpp"
 #include "serve/latency.hpp"
 #include "serve/queue.hpp"
 #include "workload/request.hpp"
+#include "util/clock.hpp"
 #include "workload/stream.hpp"
 
 namespace olive::serve {
 
+// The serving API speaks the shared clock types (util/clock.hpp).
+using olive::Clock;
+using olive::SimulatedClock;
+using olive::SteadyClock;
+
 struct ServerConfig {
   /// Measurement window / psi / drain settings, same meaning as in the
   /// batch engine.  Live runs are unbounded: drain_slots is ignored and
-  /// the run ends at stop().
+  /// the run ends at stop(); start() refuses record_requests (records
+  /// would grow with uptime).
   core::SimulatorConfig sim;
-  /// Mid-run re-planning (engine::ReplanPolicy).  In live mode the trailing
-  /// demand window is the server's own record of drained arrivals; solves
-  /// run on the background ThreadPool and install at policy-fixed slots.
-  /// period == 0 (default) disables it; run_simulated requires 0, exactly
-  /// like Engine::run_stream.
+  /// Mid-run re-planning (engine::ReplanPolicy), fed by the drained
+  /// arrivals; solves run on the background ThreadPool and install at
+  /// policy-fixed slots.  period == 0 (default) disables it.
   engine::ReplanConfig replan;
   /// Admission queue capacity (rounded up to a power of two).  A full queue
   /// bounces submit() with Submit::QueueFull — explicit backpressure.
@@ -70,9 +68,10 @@ struct ServerConfig {
 };
 
 /// Long-lived serving facade over one OnlineEmbedder.  The embedder and the
-/// clock are borrowed and must outlive the run; all embedder calls happen
-/// on the single serving thread (the embedder's own speculation pool is its
-/// business).  submit() is safe from any number of threads.
+/// clock are borrowed until stop() returns; embedder calls other than a
+/// re-plan candidate's fork() happen on the single serving thread (the
+/// embedder's own speculation pool is its business).  submit() is safe
+/// from any number of threads.
 class Server {
  public:
   /// submit() outcome, returned to the producer immediately (never blocks).
@@ -92,16 +91,17 @@ class Server {
   /// Simulation mode: drives `stream` to completion on the caller's thread
   /// under an internal SimulatedClock and returns the run's SimMetrics —
   /// bit-identical to Engine::run_stream(algo, stream) with the same
-  /// SimulatorConfig.  Same restrictions as run_stream (no re-planning, no
-  /// per-request records); reads no wall clock anywhere (algo_seconds
-  /// stays 0).  stats() is filled deterministically afterwards.
+  /// SimulatorConfig and ReplanConfig.  Reads no wall clock on the slot
+  /// path (algo_seconds stays 0).  stats() is filled deterministically
+  /// afterwards.
   core::SimMetrics run_simulated(core::OnlineEmbedder& algo,
                                  workload::TraceStream& stream);
 
-  /// Live mode: spawns the serving thread.  Slot t covers wall time
-  /// [t0 + t·slot_duration, t0 + (t+1)·slot_duration); arrivals are
-  /// stamped with the slot they are drained in, and leases expire at the
-  /// slot boundary `arrival + duration` — wall deadlines.
+  /// Live mode: validates the configuration on the caller's thread (an
+  /// invalid one throws here), then spawns the serving thread.  Slot t
+  /// covers wall time [t0 + t·slot_duration, t0 + (t+1)·slot_duration);
+  /// arrivals are stamped with the slot they are drained in, and leases
+  /// expire at the slot boundary `arrival + duration` — wall deadlines.
   void start(core::OnlineEmbedder& algo, Clock& clock);
 
   /// Hands one request to the serving thread (id and arrival slot are
@@ -136,12 +136,14 @@ class Server {
     Clock::time_point enqueued{};
   };
 
-  void serve_loop(core::OnlineEmbedder& algo, Clock& clock);
+  engine::EngineConfig engine_config() const;
+  void serve_loop(Clock& clock);
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;
   ServerConfig config_;
   std::unique_ptr<MpscQueue<Queued>> queue_;
+  std::unique_ptr<engine::SlotKernel> kernel_;  // start() to end of run
   std::atomic<Clock*> clock_{nullptr};  // set by start(), read by submit()
   std::mutex lifecycle_mu_;             // serializes start()/stop()
   std::thread thread_;

@@ -1,38 +1,32 @@
-// Clock abstraction for the serving layer (docs/serving.md).
-//
-// serve::Server drives one slot loop against a Clock: under SteadyClock the
-// slot boundaries are real wall deadlines (the long-lived service mode),
-// under SimulatedClock they advance instantly and deterministically (the
-// simulation mode, bit-identical to engine::Engine::run_stream).  The
-// pattern follows erizo's Clock / DZSimulator's sim::Clock (SNIPPETS.md
-// Snippets 2-3) with one deliberate deviation: SimulatedClock starts at the
-// *epoch* (time_point{}), never at steady_clock::now(), so simulated runs
-// consume zero entropy from wall time — erizo seeds its simulated clock
-// from the real one, which would make "simulated time" differ between two
-// otherwise identical runs.
-//
-// Wall-entropy contract: on the simulated path, every time read goes
-// through the injected Clock; code running under a SimulatedClock performs
-// no std::chrono::steady_clock::now() calls at all.  (The engine's
-// `algo_seconds`/`solve_seconds` diagnostics do read wall time, but those
-// are documented as outside the bit-identity contract — see
-// docs/serving.md "Wall-entropy audit".)
+// Clock abstraction shared by the engine's slot kernel and the serving
+// layer (docs/serving.md).  engine::SlotKernel reads its timing diagnostics
+// through an injected Clock; serve::Server drives its slot boundaries
+// against one — real wall deadlines under SteadyClock, instant and
+// deterministic ticks under SimulatedClock (bit-identical to
+// engine::Engine::run_stream).  The pattern follows erizo's Clock /
+// DZSimulator's sim::Clock (SNIPPETS.md Snippets 2-3) with one deliberate
+// deviation: SimulatedClock starts at the *epoch* (time_point{}), never at
+// steady_clock::now(), so simulated runs consume zero entropy from wall
+// time — erizo seeds its simulated clock from the real one, which would
+// make "simulated time" differ between two otherwise identical runs.
+// Re-plan `solve_seconds` still reads steady_clock on the worker threads: a
+// diagnostic outside the bit-identity contract, never a decision input.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
-namespace olive::serve {
+namespace olive {
 
-/// Monotonic time source the serving loop is written against.  now() may be
-/// called from any thread (producers timestamp their submissions through
-/// the injected clock); sleep_until / advance belong to the single serving
-/// thread.
+/// Monotonic time source the slot kernel and the serving loop are written
+/// against.  now() may be called from any thread (producers timestamp their
+/// submissions through the injected clock); sleep_until / advance belong to
+/// the single thread driving the slots.
 class Clock {
  public:
-  /// All serve timing is expressed in steady_clock units — the underlying
-  /// clock must be monotonic (time never decreases).
+  /// All timing is expressed in steady_clock units — the underlying clock
+  /// must be monotonic (time never decreases).
   using base_clock = std::chrono::steady_clock;
   using time_point = base_clock::time_point;
   using duration = base_clock::duration;
@@ -75,9 +69,9 @@ class SimulatedClock final : public Clock {
   }
   bool simulated() const noexcept override { return true; }
 
-  /// Advances simulated time by `d` (one slot tick in the serving loop).
-  /// Like sleep_until, only the serving thread may call this; other threads
-  /// may read now() concurrently (hence the atomic).
+  /// Advances simulated time by `d` (one slot tick).  Like sleep_until,
+  /// only the driving thread may call this; other threads may read now()
+  /// concurrently (hence the atomic).
   void advance(duration d) {
     now_ns_.fetch_add(d.count(), std::memory_order_relaxed);
   }
@@ -88,4 +82,4 @@ class SimulatedClock final : public Clock {
   std::atomic<duration::rep> now_ns_{0};
 };
 
-}  // namespace olive::serve
+}  // namespace olive

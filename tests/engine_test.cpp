@@ -15,8 +15,11 @@
 #include "core/scenario.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
+#include "engine/kernel.hpp"
+#include "engine/replan.hpp"
 #include "engine/registry.hpp"
 #include "net/embedding.hpp"
+#include "util/error.hpp"
 
 namespace olive::engine {
 namespace {
@@ -393,6 +396,85 @@ TEST(EngineReplanPortfolio, RefusesEmbeddersWithoutWorldSnapshots) {
   // Same rejection style as failure traces vs set_element_capacity: the
   // run refuses outright rather than silently degrading to K = 1.
   EXPECT_THROW(engine.run(algo, sc.online), std::exception);
+}
+
+TEST(EngineReplanPortfolio, RefusesSnapshotlessEmbeddersBeforeTheFirstSlot) {
+  const core::ScenarioConfig cfg = small_config();
+  const core::Scenario sc = core::build_scenario(cfg);
+  EngineConfig ecfg{cfg.sim, {}, {}};
+  ecfg.replan.period = 10;
+  ecfg.replan.candidates = 2;
+  Engine engine(sc.substrate, sc.apps, ecfg);
+  CountingObserver counter;
+  engine.add_observer(&counter);
+  PlanlessEmbedder algo(sc.substrate);
+  // Validated when the run is set up, not at the first launch slot.
+  EXPECT_THROW(engine.run(algo, sc.online), InvalidArgument);
+  EXPECT_EQ(counter.slots, 0);
+}
+
+// ------------------------------------------------ the re-plan demand feed
+
+void expect_windows_identical(const workload::Trace& a,
+                              const workload::Trace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << "request " << i;
+    EXPECT_EQ(a[i].arrival, b[i].arrival) << "request " << i;
+    EXPECT_EQ(a[i].duration, b[i].duration) << "request " << i;
+    EXPECT_EQ(a[i].demand, b[i].demand) << "request " << i;
+  }
+}
+
+TEST(ReplanFeed, PrunedFeedClipsLikeTheFullTraceAtEveryLaunch) {
+  // The policy keeps its own demand feed and prunes it at each launch; every
+  // window a candidate may use — including the doubled one of candidate 5
+  // (window << 1) — must still clip exactly like the full trace, long-lived
+  // requests that arrived before the window included.
+  const core::ScenarioConfig cfg = small_config();
+  const core::Scenario sc = core::build_scenario(cfg);
+  ReplanConfig rcfg;
+  rcfg.period = 10;
+  rcfg.install_delay = 1;
+  rcfg.candidates = 6;
+  rcfg.plan = cfg.plan;
+  rcfg.plan.max_rounds = 2;
+  // The world and ψ outlive the policy, whose destructor joins the last
+  // launch's solves.
+  core::OliveEmbedder world(sc.substrate, sc.apps, sc.plan, "OLIVE");
+  world.reset();
+  const std::vector<double> psi = resolve_psi(sc.substrate, sc.apps, cfg.sim);
+  ReplanPolicy policy(sc.substrate, sc.apps, rcfg);
+
+  const workload::Trace& trace = sc.online;
+  const int base = trace.front().arrival;
+  const std::int64_t n_slots = trace.back().arrival - base + 1;
+  int launches = 0;
+  long long long_lived = 0;
+  std::size_t next = 0;
+  for (std::int64_t t = 0; t < n_slots && launches < 5; ++t) {
+    if (policy.pending_install_slot() == t) policy.collect();
+    if (policy.wants_launch(t)) {
+      policy.launch(t, {}, &world, &psi);
+      ++launches;
+      for (const int window : {5, 10, 20}) {  // >> 1, baseline, << 1
+        const std::int64_t from = std::max<std::int64_t>(0, t - window);
+        SCOPED_TRACE(::testing::Message() << "slot " << t << " window "
+                                          << window);
+        expect_windows_identical(policy.demand_window(from, t),
+                                 clip_window(trace, base, from, t));
+        for (const auto& r : trace)
+          if (r.arrival - base < from && r.arrival - base + r.duration > from)
+            ++long_lived;
+      }
+    }
+    std::size_t end = next;
+    while (end < trace.size() && trace[end].arrival - base == t) ++end;
+    policy.observe(trace.data() + next, end - next, t);
+    next = end;
+  }
+  EXPECT_EQ(launches, 5);
+  EXPECT_GT(long_lived, 0);  // the windows really start mid-lease
 }
 
 // ------------------------------------------------------- dry_run_plan

@@ -13,7 +13,7 @@
 
 #include "core/olive.hpp"
 #include "core/scenario.hpp"
-#include "serve/clock.hpp"
+#include "util/clock.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "topo/topologies.hpp"

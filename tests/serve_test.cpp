@@ -2,22 +2,29 @@
 //  * SimulatedClock starts at the epoch and consumes zero wall entropy;
 //  * the log2 latency histogram's buckets and conservative percentiles;
 //  * the equivalence lockdown — serve::Server under SimulatedClock is
-//    bit-identical to Engine::run_stream on the same Mmpp/Caida configs
-//    (the two-mode determinism contract's simulated half);
+//    bit-identical to Engine::run_stream on the same Mmpp/Caida configs,
+//    and to Engine::run with re-planning and per-request records on (the
+//    two-mode determinism contract's simulated half);
+//  * live serving refuses configurations it cannot honor, on the caller's
+//    thread, and stop() joins re-plan solves still borrowing the embedder;
 //  * pre-drawn open-loop arrival schedules are deterministic and match the
 //    requested rate.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/olive.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
-#include "serve/clock.hpp"
 #include "serve/latency.hpp"
 #include "serve/server.hpp"
 #include "topo/topologies.hpp"
+#include "util/clock.hpp"
+#include "util/error.hpp"
 #include "workload/appgen.hpp"
 #include "workload/caida.hpp"
 #include "workload/stream.hpp"
@@ -135,6 +142,18 @@ void expect_metrics_identical(const core::SimMetrics& a,
   EXPECT_EQ(a.allocated_series, b.allocated_series);
   EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app);
   EXPECT_EQ(a.requests_by_node, b.requests_by_node);
+  EXPECT_EQ(a.replans, b.replans);
+  EXPECT_EQ(a.plan_solves, b.plan_solves);
+  EXPECT_EQ(a.plan_simplex_iterations, b.plan_simplex_iterations);
+  EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_EQ(a.records[i].id, b.records[i].id) << "record " << i;
+    EXPECT_EQ(a.records[i].arrival, b.records[i].arrival) << "record " << i;
+    EXPECT_EQ(a.records[i].kind, b.records[i].kind) << "record " << i;
+    EXPECT_EQ(a.records[i].preempted_at, b.records[i].preempted_at)
+        << "record " << i;
+  }
 }
 
 class ServeEquivalence : public ::testing::Test {
@@ -231,6 +250,43 @@ TEST_F(ServeEquivalence, TwoSimulatedRunsAreBitIdentical) {
   EXPECT_GT(st1.decided, 0);
 }
 
+TEST_F(ServeEquivalence, SimulatedServerWithReplanningMatchesEngineRun) {
+  // Re-planning and per-request records through the serving layer: the
+  // deterministic twin of live re-planning is Engine::run on the
+  // materialized trace.
+  engine::ReplanConfig replan;
+  replan.period = 20;
+  replan.install_delay = 3;
+  replan.plan.max_rounds = 4;
+  core::SimulatorConfig sim = sim_;
+  sim.record_requests = true;
+
+  workload::TraceGenerator gen(substrate_, apps_, config_);
+  Rng a(911), b(911);
+  const workload::Trace trace = gen.generate(a);
+  engine::Engine eng(substrate_, apps_, engine::EngineConfig{sim, replan, {}});
+  core::OliveEmbedder engine_algo(substrate_, apps_, core::Plan::empty(),
+                                  "QuickG");
+  const core::SimMetrics engine_m = eng.run(engine_algo, trace);
+
+  serve::ServerConfig scfg;
+  scfg.sim = sim;
+  scfg.replan = replan;
+  serve::Server server(substrate_, apps_, scfg);
+  core::OliveEmbedder serve_algo(substrate_, apps_, core::Plan::empty(),
+                                 "QuickG");
+  workload::MmppTraceStream stream(substrate_, apps_, config_, b);
+  const core::SimMetrics serve_m = server.run_simulated(serve_algo, stream);
+
+  expect_metrics_identical(engine_m, serve_m);
+  EXPECT_GT(engine_m.replans, 0);
+  EXPECT_FALSE(engine_m.records.empty());
+  EXPECT_EQ(server.stats().plan_swaps, serve_m.replans);
+  // The install wait is read through the simulated clock: zero.
+  EXPECT_EQ(serve_m.algo_seconds, 0.0);
+  EXPECT_EQ(server.stats().swap_stall_seconds, 0.0);
+}
+
 TEST_F(ServeEquivalence, EmptyStreamYieldsEmptyMetrics) {
   const workload::Trace empty;
   workload::VectorTraceStream stream(empty, /*horizon=*/5);
@@ -242,6 +298,130 @@ TEST_F(ServeEquivalence, EmptyStreamYieldsEmptyMetrics) {
   EXPECT_EQ(m.offered, 0);
   EXPECT_EQ(m.accepted, 0);
   EXPECT_TRUE(m.offered_series.empty());
+}
+
+// -------------------------------------------------- Live-mode refusals
+
+TEST_F(ServeEquivalence, LiveStartRefusesPerRequestRecords) {
+  // Records grow with uptime; a live server must say so, not ignore it.
+  serve::ServerConfig scfg;
+  scfg.sim = sim_;
+  scfg.sim.record_requests = true;
+  serve::Server server(substrate_, apps_, scfg);
+  core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
+  SteadyClock clock;
+  EXPECT_THROW(server.start(algo, clock), InvalidArgument);
+  EXPECT_FALSE(server.running());
+}
+
+TEST_F(ServeEquivalence, LiveStartRefusesAnInvalidReplanConfig) {
+  serve::ServerConfig scfg;
+  scfg.sim = sim_;
+  scfg.replan.period = 10;
+  scfg.replan.install_delay = 10;  // must stay in [1, period)
+  serve::Server server(substrate_, apps_, scfg);
+  core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
+  SteadyClock clock;
+  EXPECT_THROW(server.start(algo, clock), InvalidArgument);
+  EXPECT_FALSE(server.running());
+}
+
+// -------------------------------------------------- Live-mode lifetime
+
+/// What a portfolio candidate's fork() saw, shared with the test so it
+/// survives the embedder.
+struct ForkProbe {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> returned{false};
+  std::atomic<bool> embedder_alive{true};
+  std::atomic<bool> outlived_embedder{false};
+};
+
+/// OLIVE behind a forwarding wrapper whose fork() lingers, so a re-plan
+/// candidate is reliably still running when the test stops the server.
+class LingeringForkEmbedder final : public core::OnlineEmbedder {
+ public:
+  LingeringForkEmbedder(const net::SubstrateNetwork& s,
+                        const std::vector<net::Application>& apps,
+                        std::shared_ptr<ForkProbe> probe)
+      : inner_(s, apps, core::Plan::empty(), "QuickG"),
+        probe_(std::move(probe)) {}
+  ~LingeringForkEmbedder() override { probe_->embedder_alive = false; }
+
+  std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+  core::EmbedOutcome embed(const workload::Request& r) override {
+    return inner_.embed(r);
+  }
+  void hint_arrivals(const workload::Request* batch,
+                     std::size_t count) override {
+    inner_.hint_arrivals(batch, count);
+  }
+  void depart(const workload::Request& r) override { inner_.depart(r); }
+  bool install_plan(core::Plan plan) override {
+    return inner_.install_plan(std::move(plan));
+  }
+  core::WorldState snapshot() const override { return inner_.snapshot(); }
+  bool restore(const core::WorldState& w) override {
+    return inner_.restore(w);
+  }
+  std::unique_ptr<core::OnlineEmbedder> fork(
+      const core::WorldState& w) const override {
+    const std::shared_ptr<ForkProbe> probe = probe_;  // outlives *this
+    probe->entered = true;
+    for (int i = 0; i < 60 && probe->embedder_alive; ++i)
+      std::this_thread::sleep_for(5ms);
+    if (!probe->embedder_alive) {
+      probe->outlived_embedder = true;
+      return nullptr;  // *this is gone; touch nothing of it
+    }
+    auto clone = inner_.fork(w);
+    probe->returned = true;
+    return clone;
+  }
+  const core::LoadTracker& load() const override { return inner_.load(); }
+
+ private:
+  core::OliveEmbedder inner_;
+  std::shared_ptr<ForkProbe> probe_;
+};
+
+TEST_F(ServeEquivalence, LiveStopJoinsInFlightPortfolioSolves) {
+  // The server is declared before the embedder and the clock, so both die
+  // first: stop() must not return while a portfolio candidate may still
+  // fork the embedder.
+  serve::ServerConfig scfg;
+  scfg.sim = sim_;
+  scfg.slot_duration = 5ms;
+  scfg.replan.period = 40;
+  scfg.replan.install_delay = 39;  // the candidates fly for ~200 ms
+  scfg.replan.candidates = 2;
+  scfg.replan.plan.max_rounds = 2;
+  workload::TraceGenerator gen(substrate_, apps_, config_);
+  Rng rng(5);
+  const workload::Trace trace = gen.generate(rng);
+  ASSERT_FALSE(trace.empty());
+
+  auto probe = std::make_shared<ForkProbe>();
+  serve::Server server(substrate_, apps_, scfg);
+  bool entered_while_running = false;
+  {
+    LingeringForkEmbedder algo(substrate_, apps_, probe);
+    SteadyClock clock;
+    server.start(algo, clock);
+    const auto give_up = std::chrono::steady_clock::now() + 30s;
+    for (std::size_t i = 0;
+         !probe->entered && std::chrono::steady_clock::now() < give_up; ++i) {
+      server.submit(trace[i % trace.size()]);
+      if (i % 16 == 0) std::this_thread::sleep_for(100us);
+    }
+    entered_while_running = probe->entered && server.running();
+    server.stop(/*drain=*/false);
+    EXPECT_TRUE(probe->returned) << "stop() returned before the fork did";
+  }
+  EXPECT_TRUE(entered_while_running) << "no portfolio candidate launched";
+  EXPECT_FALSE(probe->outlived_embedder);
+  EXPECT_GE(server.stats().decided, 1);
 }
 
 // -------------------------------------------------- Open-loop schedule

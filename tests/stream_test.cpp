@@ -1,8 +1,9 @@
 // The scale_xl streaming contracts (workload/stream.hpp, Engine::run_stream):
 // with the same seed, the streamed and materialized trace paths are
 // bit-identical — identical request vectors from the generators, identical
-// SimMetrics from the engine — and the CAIDA generator is deterministic
-// across identical RNG forks.
+// SimMetrics from the engine, with per-request records, failure traces and
+// re-planning too — and the CAIDA generator is deterministic across
+// identical RNG forks.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,6 +14,7 @@
 #include "topo/topologies.hpp"
 #include "workload/appgen.hpp"
 #include "workload/caida.hpp"
+#include "workload/failures.hpp"
 #include "workload/stream.hpp"
 #include "workload/tracegen.hpp"
 
@@ -49,6 +51,22 @@ void expect_metrics_identical(const core::SimMetrics& a,
   EXPECT_EQ(a.allocated_series, b.allocated_series);
   EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app);
   EXPECT_EQ(a.requests_by_node, b.requests_by_node);
+  EXPECT_EQ(a.replans, b.replans);
+  EXPECT_EQ(a.plan_solves, b.plan_solves);
+  EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.failure_hit, b.failure_hit);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.sla_violations, b.sla_violations);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const core::RequestRecord& x = a.records[i];
+    const core::RequestRecord& y = b.records[i];
+    EXPECT_EQ(x.id, y.id) << "record " << i;
+    EXPECT_EQ(x.arrival, y.arrival) << "record " << i;
+    EXPECT_EQ(x.kind, y.kind) << "record " << i;
+    EXPECT_EQ(x.preempted_at, y.preempted_at) << "record " << i;
+  }
 }
 
 class StreamFixture : public ::testing::Test {
@@ -112,32 +130,74 @@ TEST_F(StreamFixture, VectorStreamRoundTrips) {
 
 TEST_F(StreamFixture, RunStreamBitIdenticalToRun) {
   workload::TraceGenerator gen(substrate_, apps_, config_);
-  Rng a(911), b(911);
+  Rng a(911);
   const workload::Trace trace = gen.generate(a);
 
   // measure_to + drain (60 + 50) is far below the 600-slot horizon, so the
-  // drain cap binds for both paths — the regime run_stream's equivalence
-  // contract covers.
-  engine::EngineConfig ec;
-  ec.sim.measure_from = 10;
-  ec.sim.measure_to = 60;
-  engine::Engine eng(substrate_, apps_, ec);
+  // drain cap binds for every path.
+  engine::EngineConfig plain;
+  plain.sim.measure_from = 10;
+  plain.sim.measure_to = 60;
 
-  core::OliveEmbedder run_algo(substrate_, apps_, core::Plan::empty(),
+  engine::EngineConfig records = plain;
+  records.sim.record_requests = true;
+
+  engine::EngineConfig failures = plain;
+  workload::FailureConfig fcfg;
+  fcfg.node_mtbf = 60;
+  fcfg.link_mtbf = 60;
+  fcfg.repair_mean = 10;
+  fcfg.rescale_rate = 0.1;
+  Rng fail_rng(5);
+  failures.failures.trace =
+      workload::generate_failure_trace(substrate_, fcfg, 110, fail_rng);
+  ASSERT_FALSE(failures.failures.trace.empty());
+
+  engine::EngineConfig replan = plain;
+  replan.replan.period = 20;
+  replan.replan.install_delay = 3;
+  replan.replan.plan.max_rounds = 4;
+
+  struct Case {
+    const char* name;
+    engine::EngineConfig config;
+  };
+  for (const Case& c : {Case{"plain", plain}, Case{"records", records},
+                        Case{"failures", failures}, Case{"replan", replan}}) {
+    SCOPED_TRACE(c.name);
+    engine::Engine eng(substrate_, apps_, c.config);
+
+    core::OliveEmbedder run_algo(substrate_, apps_, core::Plan::empty(),
+                                 "QuickG");
+    const core::SimMetrics run_metrics = eng.run(run_algo, trace);
+
+    {  // replayed materialized trace, with the generator's longer horizon
+      core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(),
                                "QuickG");
-  const core::SimMetrics run_metrics = eng.run(run_algo, trace);
+      workload::VectorTraceStream stream(trace, config_.horizon);
+      const core::SimMetrics m = eng.run_stream(algo, stream);
+      expect_metrics_identical(run_metrics, m);
+    }
+    {  // live generator stream, same seed: never materializes the trace
+      core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(),
+                               "QuickG");
+      Rng b(911);
+      workload::MmppTraceStream stream(substrate_, apps_, config_, b);
+      const core::SimMetrics m = eng.run_stream(algo, stream);
+      expect_metrics_identical(run_metrics, m);
+    }
 
-  {  // replayed materialized trace through the streaming loop
-    core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
-    workload::VectorTraceStream stream(trace, config_.horizon);
-    const core::SimMetrics m = eng.run_stream(algo, stream);
-    expect_metrics_identical(run_metrics, m);
-  }
-  {  // live generator stream, same seed: never materializes the trace
-    core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
-    workload::MmppTraceStream stream(substrate_, apps_, config_, b);
-    const core::SimMetrics m = eng.run_stream(algo, stream);
-    expect_metrics_identical(run_metrics, m);
+    // Each case really exercises its feature.
+    if (c.config.sim.record_requests) {
+      EXPECT_FALSE(run_metrics.records.empty());
+    }
+    if (!c.config.failures.trace.empty()) {
+      EXPECT_GT(run_metrics.failures, 0);
+      EXPECT_GT(run_metrics.failure_hit, 0);
+    }
+    if (c.config.replan.period > 0) {
+      EXPECT_GT(run_metrics.replans, 0);
+    }
   }
 }
 

@@ -30,6 +30,10 @@ struct TopoCase {
   int nodes, links;
 };
 
+// Print the case by name: gtest's default dumps the raw bytes, pointer
+// included, so discovered test names would change from run to run.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
+
 class EvaluationTopologies : public ::testing::TestWithParam<TopoCase> {};
 
 net::SubstrateNetwork build(const std::string& name, Rng& rng) {
