@@ -14,6 +14,8 @@
 //   --algo <filter>      substring filter over swept algorithm names
 //   --json <path>        machine-readable dump of the bench's tables
 //   --threads <n>        sets OLIVE_THREADS for this process
+//   --case <name>        runs only that named case (repeatable; benches
+//                        with named cases only, e.g. perf_smoke)
 //
 // Repetitions run in parallel on the shared thread pool (OLIVE_THREADS
 // controls the width; 1 disables it).  Each repetition owns its RNG streams
@@ -81,6 +83,9 @@ struct BenchCli {
   /// Open-loop bench knobs; 0 = flag absent (bench default applies).
   double duration_s = 0;
   int target_rps = 0;
+  /// --case selections (validated against the bench's case names); empty =
+  /// every case.
+  std::vector<std::string> cases;
 };
 
 /// The parsed CLI of this bench process (set once by parse_cli).
@@ -94,12 +99,14 @@ inline BenchCli& bench_cli() {
       << "usage: " << prog
       << " [--scale quick|full] [--reps N] [--topology FILTER]"
          " [--algo FILTER] [--json PATH] [--threads N]"
-         " [--duration-s S] [--target-rps N]\n"
+         " [--duration-s S] [--target-rps N] [--case NAME]...\n"
          "Filters are substring matches over the names a bench sweeps;"
          " env defaults: OLIVE_REPRO_FULL=1, OLIVE_BENCH_REPS=N.\n"
          "--duration-s/--target-rps drive the open-loop serving benches\n"
          "(wall seconds and Poisson arrival rate; other benches ignore"
-         " them).\n";
+         " them).\n"
+         "--case runs only the named case (repeatable; default: all) in a\n"
+         "bench with named cases (perf_smoke).\n";
   std::exit(exit_code);
 }
 
@@ -113,6 +120,7 @@ struct CliArgs {
   /// the Poisson arrival rate.  0 = flag absent (bench default applies).
   double duration_s = 0;
   int target_rps = 0;
+  std::vector<std::string> cases;  ///< --case values, in order
   bool help = false;
 };
 
@@ -189,6 +197,8 @@ inline bool parse_cli_args(const std::vector<std::string>& args, CliArgs& out,
       if (!positive_double("--duration-s", i, out.duration_s)) return false;
     } else if (arg == "--target-rps") {
       if (!positive_int("--target-rps", i, out.target_rps)) return false;
+    } else if (arg == "--case") {
+      if (!value(i, out.cases.emplace_back())) return false;
     } else if (arg == "--help" || arg == "-h") {
       out.help = true;
     } else {
@@ -199,14 +209,36 @@ inline bool parse_cli_args(const std::vector<std::string>& args, CliArgs& out,
   return true;
 }
 
+/// Checks --case selections against the case names a bench declares
+/// (`known`; empty for a bench without named cases).  Returns false with a
+/// diagnostic in `error` on a name the bench does not have.
+inline bool check_case_names(const std::vector<std::string>& requested,
+                             const std::vector<std::string>& known,
+                             std::string& error) {
+  for (const std::string& name : requested) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    if (known.empty()) {
+      error = "--case: this bench has no named cases";
+      return false;
+    }
+    error = "--case: unknown case '" + name + "' (known:";
+    for (const std::string& k : known) error += " " + k;
+    error += ")";
+    return false;
+  }
+  return true;
+}
+
 /// Parses the shared flags (see the header comment), stores the result in
-/// bench_cli(), and returns it.  Call first thing in every bench main().
-/// Malformed command lines print the diagnostic plus usage to stderr and
-/// exit 2.
-inline const BenchCli& parse_cli(int argc, char** argv) {
+/// bench_cli(), and returns it.  Call first thing in every bench main();
+/// a bench with named cases passes them as `known_cases`.  Malformed
+/// command lines print the diagnostic plus usage to stderr and exit 2.
+inline const BenchCli& parse_cli(
+    int argc, char** argv, const std::vector<std::string>& known_cases = {}) {
   CliArgs args;
   std::string error;
-  if (!parse_cli_args({argv + 1, argv + argc}, args, error)) {
+  if (!parse_cli_args({argv + 1, argv + argc}, args, error) ||
+      !check_case_names(args.cases, known_cases, error)) {
     std::cerr << "error: " << error << "\n";
     cli_usage(argv[0], 2);
   }
@@ -229,6 +261,7 @@ inline const BenchCli& parse_cli(int argc, char** argv) {
   cli.reps_override = args.reps;
   cli.duration_s = args.duration_s;
   cli.target_rps = args.target_rps;
+  cli.cases = args.cases;
   bench_cli() = cli;
   return bench_cli();
 }
@@ -242,6 +275,12 @@ inline bool topology_selected(const std::string& name) {
 }
 inline bool algo_selected(const std::string& name) {
   return selected(bench_cli().algo, name);
+}
+/// Exact-name --case filter (no --case selects every case).
+inline bool case_selected(const std::string& name) {
+  const auto& cases = bench_cli().cases;
+  return cases.empty() ||
+         std::find(cases.begin(), cases.end(), name) != cases.end();
 }
 
 /// Base scenario config at the harness scale.

@@ -11,7 +11,9 @@
 // runs.
 //
 // Knobs: the shared bench CLI (--json <path> for the output, --scale full
-// for the paper-scale horizon, --reps, --threads; see bench/common.hpp),
+// for the paper-scale horizon, --reps, --threads, and --case NAME to run
+// only the named cases, e.g. `perf_smoke --case replan_window`; see
+// bench/common.hpp),
 // plus the OLIVE_PERF_OUT / OLIVE_REPRO_FULL / OLIVE_BENCH_REPS /
 // OLIVE_THREADS env equivalents.  Results are bit-identical at every
 // thread count, only wall-clock moves.  The timed repetitions themselves
@@ -88,11 +90,27 @@ void accumulate(olive::bench::PerfCase& c, const olive::core::PlanSolveInfo& inf
   c.objective = info.objective;
 }
 
+/// Every case name perf_smoke can emit, in run order (--case selects among
+/// them; the per-topology cases run for every topology they cover).
+const std::vector<std::string> kCases = {
+    "plan_solve_cold",            "plan_solve_warm",
+    "slotoff_window",             "replan_window",
+    "replan_portfolio",           "scale_plan_cold_sparse",
+    "scale_plan_cold_dense",      "scale_resolve_cold",
+    "scale_resolve_warm",         "scale_xl_plan_cold_dantzig",
+    "scale_xl_plan_cold_steepest", "scale_xl_stream_mmpp"};
+
+bool any_selected(std::initializer_list<const char*> names) {
+  return std::any_of(names.begin(), names.end(), [](const char* n) {
+    return olive::bench::case_selected(n);
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace olive;
-  const auto& cli = bench::parse_cli(argc, argv);
+  const auto& cli = bench::parse_cli(argc, argv, kCases);
   const auto scale = cli.scale;
   bench::print_header("perf_smoke: plan-solve + SLOTOFF hot-path timings",
                       scale);
@@ -118,43 +136,38 @@ int main(int argc, char** argv) {
                "spec_misses\n";
 
   for (const std::string topo : {"Iris", "CittaStudi"}) {
+    if (!any_selected({"plan_solve_cold", "plan_solve_warm", "slotoff_window"}))
+      break;
     const auto cfg = bench::base_config(scale, topo, 1.0);
     const core::Scenario sc = core::build_scenario(cfg, 0);
 
     // (a) cold plan solves: every rep prices its columns from scratch.
-    bench::PerfCase cold;
-    cold.name = "plan_solve_cold";
-    cold.topology = topo;
-    cold.reps = plan_reps;
-    for (int rep = 0; rep < plan_reps; ++rep) {
-      core::PlanSolveInfo info;
-      const auto start = Clock::now();
-      const core::Plan plan = core::solve_plan_vne(
-          sc.substrate, sc.apps, sc.aggregates, cfg.plan, &info);
-      accumulate(cold, info, seconds_since(start));
-    }
-    cases.push_back(cold);
-
     // (b) warm plan solves: the column cache carries embeddings across
     // solves, the SLOTOFF/replan regime (no basis warm start, so this row
     // stays comparable with the pre-v3 trajectory).
-    bench::PerfCase warm;
-    warm.name = "plan_solve_warm";
-    warm.topology = topo;
-    warm.reps = plan_reps;
-    core::PlanColumnCache cache;
-    for (int rep = 0; rep < plan_reps; ++rep) {
-      core::PlanSolveInfo info;
-      const auto start = Clock::now();
-      const core::Plan plan = core::solve_plan_vne(
-          sc.substrate, sc.apps, sc.aggregates, cfg.plan, &info, &cache);
-      accumulate(warm, info, seconds_since(start));
+    for (const bool warm : {false, true}) {
+      bench::PerfCase c;
+      c.name = warm ? "plan_solve_warm" : "plan_solve_cold";
+      if (!bench::case_selected(c.name)) continue;
+      c.topology = topo;
+      c.reps = plan_reps;
+      core::PlanColumnCache cache;
+      for (int rep = 0; rep < plan_reps; ++rep) {
+        core::PlanSolveInfo info;
+        const auto start = Clock::now();
+        const core::Plan plan =
+            core::solve_plan_vne(sc.substrate, sc.apps, sc.aggregates, cfg.plan,
+                                 &info, warm ? &cache : nullptr);
+        accumulate(c, info, seconds_since(start));
+      }
+      cases.push_back(c);
+      print_case(c);
     }
-    cases.push_back(warm);
 
     // (c) a SLOTOFF window: per-slot master re-solves on the online trace
     // truncated to the first `slotoff_slots` arrival slots, with the basis
     // carried slot to slot (production default).
+    if (!bench::case_selected("slotoff_window")) continue;
     workload::Trace window;
     const int base = sc.online.empty() ? 0 : sc.online.front().arrival;
     for (const auto& r : sc.online)
@@ -184,11 +197,10 @@ int main(int argc, char** argv) {
     slot.objective = m.plan_objective_sum;
     slot.rejection_rate = m.rejection_rate();
     cases.push_back(slot);
-
-    for (auto it = cases.end() - 3; it != cases.end(); ++it) print_case(*it);
+    print_case(slot);
   }
 
-  // --- replan window --------------------------------------------------------
+  // --- replan window / replan portfolio -----------------------------------
   // The mid-run re-planning regime on the drifting-utilization scenario:
   // an Iris OLIVE run whose online demand ramps to 2.5x the plan's
   // expectation while the engine's ReplanPolicy re-solves the trailing
@@ -196,48 +208,20 @@ int main(int argc, char** argv) {
   // later, basis warm-started across re-plans).  The row reports the
   // re-plan solves' pivots/warm hits next to the SLOTOFF rows; `objective`
   // is the sum of the re-plan LP objectives (deterministic, diffed by CI).
-  {
-    auto cfg = bench::base_config(scale, "Iris", 1.0);
-    cfg.drift = 1.5;
-    const core::Scenario sc = core::build_scenario(cfg, 0);
-    engine::EngineConfig ecfg;
-    ecfg.sim = cfg.sim;
-    ecfg.replan.period = (scale.horizon - scale.plan_slots) / 3;
-    ecfg.replan.plan = cfg.plan;
-    ecfg.replan.plan.max_rounds = 8;
-    ecfg.replan.seed = cfg.seed;
-    engine::Engine eng(sc.substrate, sc.apps, ecfg);
-    core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
-    bench::PerfCase rp;
-    rp.name = "replan_window";
-    rp.topology = "Iris";
-    const auto start = Clock::now();
-    const auto m = eng.run(algo, sc.online);
-    rp.seconds_total = seconds_since(start);
-    rp.reps = static_cast<int>(m.plan_solves);
-    rp.replans = m.replans;
-    rp.simplex_iterations = m.plan_simplex_iterations;
-    rp.pricing_rounds = m.plan_rounds;
-    rp.columns_generated = m.plan_columns_generated;
-    rp.refactorizations = m.plan_refactorizations;
-    rp.eta_length_max = m.plan_eta_length_max;
-    rp.warm_start_hits = m.plan_warm_start_hits;
-    rp.objective = m.plan_objective_sum;
-    rp.rejection_rate = m.rejection_rate();
-    cases.push_back(rp);
-    print_case(rp);
-  }
-
-  // --- replan portfolio -----------------------------------------------------
-  // The same drifting-utilization run with portfolio re-planning
+  //
+  // replan_portfolio is the same run with portfolio re-planning
   // (ReplanConfig::candidates = 4, docs/replanning.md): each launch solves
   // four candidate configurations concurrently — losers bounded by the
   // early-termination gap — scores them by replaying the trailing window
   // against forked WorldState clones, and installs only the winner.  The
   // row's solver counters and `objective` cover the *winning* solves (the
   // engine accrues the installed candidate's PlanSolveInfo), so the column
-  // stays deterministic and CI-diffable like replan_window's.
-  {
+  // stays deterministic and CI-diffable like replan_window's.  Both rows
+  // also print the live embedder's preempt-stage counters (the replayed
+  // candidates' own preemptions are not in them).
+  for (const auto& [name, candidates] :
+       {std::pair{"replan_window", 1}, std::pair{"replan_portfolio", 4}}) {
+    if (!bench::case_selected(name)) continue;
     auto cfg = bench::base_config(scale, "Iris", 1.0);
     cfg.drift = 1.5;
     const core::Scenario sc = core::build_scenario(cfg, 0);
@@ -247,11 +231,11 @@ int main(int argc, char** argv) {
     ecfg.replan.plan = cfg.plan;
     ecfg.replan.plan.max_rounds = 8;
     ecfg.replan.seed = cfg.seed;
-    ecfg.replan.candidates = 4;
+    ecfg.replan.candidates = candidates;
     engine::Engine eng(sc.substrate, sc.apps, ecfg);
     core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
     bench::PerfCase rp;
-    rp.name = "replan_portfolio";
+    rp.name = name;
     rp.topology = "Iris";
     const auto start = Clock::now();
     const auto m = eng.run(algo, sc.online);
@@ -268,6 +252,14 @@ int main(int argc, char** argv) {
     rp.rejection_rate = m.rejection_rate();
     cases.push_back(rp);
     print_case(rp);
+    const double calls = std::max(1L, m.fastpath_preempt_calls);
+    std::cout << "# " << name << " preempt: " << m.fastpath_preempt_calls
+              << " calls, "
+              << bench::json_num(m.fastpath_preempt_scanned / calls)
+              << " entries scanned and "
+              << bench::json_num(m.fastpath_preempt_popped / calls)
+              << " candidates popped per call, " << m.preempted
+              << " preempted\n";
   }
 
   // --- fat-tree scale cases -------------------------------------------------
@@ -276,6 +268,9 @@ int main(int argc, char** argv) {
   // dense inverse while the optima stay bit-identical (the differential
   // suite enforces the latter; this harness records both trajectories).
   for (const int k : {4, 8}) {
+    if (!any_selected({"scale_plan_cold_sparse", "scale_plan_cold_dense",
+                       "scale_resolve_cold", "scale_resolve_warm"}))
+      break;
     const std::string topo = "FatTree" + std::to_string(k);
     auto cfg = bench::base_config(scale, topo, 1.0);
     const core::Scenario sc = core::build_scenario(cfg, 0);
@@ -286,6 +281,7 @@ int main(int argc, char** argv) {
       const bool sparse = basis == lp::BasisKind::SparseLU;
       bench::PerfCase c;
       c.name = sparse ? "scale_plan_cold_sparse" : "scale_plan_cold_dense";
+      if (!bench::case_selected(c.name)) continue;
       c.topology = topo;
       c.basis = sparse ? "sparse_lu" : "dense";
       c.reps = scale_reps;
@@ -302,10 +298,12 @@ int main(int argc, char** argv) {
       cases.push_back(c);
       print_case(c);
     }
-    std::cout << "# " << topo << " sparse-vs-dense cold speedup: "
-              << bench::json_num(dense_seconds /
-                                 std::max(1e-12, sparse_seconds))
-              << "x\n";
+    if (bench::case_selected("scale_plan_cold_sparse") &&
+        bench::case_selected("scale_plan_cold_dense"))
+      std::cout << "# " << topo << " sparse-vs-dense cold speedup: "
+                << bench::json_num(dense_seconds /
+                                   std::max(1e-12, sparse_seconds))
+                << "x\n";
 
     // Consecutive-slot regime: the same classes re-solved under drifting
     // demands (deterministic ±8% churn per rep), sharing a column cache.
@@ -325,6 +323,7 @@ int main(int argc, char** argv) {
     for (const bool with_warm : {false, true}) {
       bench::PerfCase c;
       c.name = with_warm ? "scale_resolve_warm" : "scale_resolve_cold";
+      if (!bench::case_selected(c.name)) continue;
       c.topology = topo;
       c.reps = churn_reps;
       core::PlanColumnCache churn_cache;
@@ -341,11 +340,13 @@ int main(int argc, char** argv) {
       cases.push_back(c);
       print_case(c);
     }
-    std::cout << "# " << topo << " warm-start iteration reduction: "
-              << bench::json_num(
-                     100.0 * (1.0 - static_cast<double>(warm_iters) /
-                                        std::max(1L, cold_iters)))
-              << "%\n";
+    if (bench::case_selected("scale_resolve_cold") &&
+        bench::case_selected("scale_resolve_warm"))
+      std::cout << "# " << topo << " warm-start iteration reduction: "
+                << bench::json_num(
+                       100.0 * (1.0 - static_cast<double>(warm_iters) /
+                                          std::max(1L, cold_iters)))
+                << "%\n";
   }
 
   // --- scale_xl: FatTree16 masters + a streamed million-request run ---------
@@ -357,7 +358,8 @@ int main(int argc, char** argv) {
   // requests/sec and peak-RSS headline.  The scenario's *history* window is
   // held short (materialized plan inputs); the streamed case carries the
   // full load through the stream instead.
-  {
+  if (any_selected({"scale_xl_plan_cold_dantzig", "scale_xl_plan_cold_steepest",
+                    "scale_xl_stream_mmpp"})) {
     const std::string topo = "FatTree16";
     auto cfg = bench::base_config(scale, topo, 1.0);
     cfg.trace.horizon = 160;
@@ -372,6 +374,7 @@ int main(int argc, char** argv) {
       bench::PerfCase c;
       c.name = steepest ? "scale_xl_plan_cold_steepest"
                         : "scale_xl_plan_cold_dantzig";
+      if (!bench::case_selected(c.name)) continue;
       c.topology = topo;
       c.reps = 1;
       core::PlanVneConfig pcfg = cfg.plan;
@@ -388,18 +391,20 @@ int main(int argc, char** argv) {
       cases.push_back(c);
       print_case(c);
     }
-    std::cout << "# FatTree16 steepest-edge pivot reduction vs Dantzig: "
-              << bench::json_num(
-                     100.0 * (1.0 - static_cast<double>(steepest_iters) /
-                                        std::max(1L, dantzig_iters)))
-              << "%\n";
+    if (bench::case_selected("scale_xl_plan_cold_dantzig") &&
+        bench::case_selected("scale_xl_plan_cold_steepest"))
+      std::cout << "# FatTree16 steepest-edge pivot reduction vs Dantzig: "
+                << bench::json_num(
+                       100.0 * (1.0 - static_cast<double>(steepest_iters) /
+                                          std::max(1L, dantzig_iters)))
+                << "%\n";
 
     // Streamed serving: OLIVE against the scenario's plan (auto-upgraded to
     // steepest edge by steepest_edge_rows), fed slot by slot from the MMPP
     // stream over a horizon long enough for >= 10^6 requests.  Active
     // requests are the only per-request state run_stream keeps, so the
     // recorded rss_mb stays flat in the stream length.
-    {
+    if (bench::case_selected("scale_xl_stream_mmpp")) {
       workload::TraceConfig stream_cfg = sc.config.trace;  // calibrated demand
       stream_cfg.horizon = scale.full ? 1200 : 620;        // ~2k req/slot
       stream_cfg.plan_slots = 0;

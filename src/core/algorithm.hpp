@@ -40,6 +40,9 @@ struct FastPathStats {
   long spec_commits = 0;  ///< speculative decisions committed as-is
   long spec_misses = 0;   ///< speculative decisions re-derived serially
   long spec_serial = 0;   ///< arrivals speculation declined (preempt path)
+  long preempt_calls = 0;    ///< preempt-stage attempts (one per column tried)
+  long preempt_scanned = 0;  ///< reverse-index entries those attempts gathered
+  long preempt_popped = 0;   ///< distinct candidates they examined in order
 };
 
 struct EmbedOutcome {

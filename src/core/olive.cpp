@@ -97,24 +97,24 @@ void OliveEmbedder::index_add(workload::RequestId id, Active& a) {
   for (std::size_t i = 0; i < a.usage.size(); ++i) {
     auto& bucket = elem_actives_[a.usage[i].first];
     a.elem_pos[i] = static_cast<int>(bucket.size());
-    bucket.push_back(id);
+    bucket.push_back({a.demand, a.order, id, &a});
   }
 }
 
 void OliveEmbedder::index_remove(workload::RequestId id, Active& a) {
   for (std::size_t i = 0; i < a.usage.size(); ++i) {
-    auto& bucket = elem_actives_[a.usage[i].first];
+    const int elem = a.usage[i].first;
+    auto& bucket = elem_actives_[elem];
     const int pos = a.elem_pos[i];
-    OLIVE_ASSERT(bucket.at(pos) == id);
-    const workload::RequestId moved = bucket.back();
-    bucket[pos] = moved;
+    OLIVE_ASSERT(bucket.at(pos).id == id);
+    bucket[pos] = bucket.back();
     bucket.pop_back();
-    if (moved != id) {
+    if (pos < static_cast<int>(bucket.size())) {
       // Backpatch the moved allocation's recorded position for this element
       // (usage vectors aggregate per element, so the entry is unique).
-      Active& m = active_.at(moved);
+      Active& m = *bucket[pos].active;
       for (std::size_t j = 0; j < m.usage.size(); ++j) {
-        if (m.usage[j].first == a.usage[i].first) {
+        if (m.usage[j].first == elem) {
           m.elem_pos[j] = pos;
           break;
         }
@@ -159,6 +159,7 @@ EmbedOutcome OliveEmbedder::allocate(const workload::Request& r,
 
 std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
     const Usage& usage, double demand) {
+  ++stats_.preempt_calls;
   // Deficiency per element that the new allocation would overdraw.
   deficit_.clear();
   for (const auto& [elem, amount] : usage) {
@@ -172,16 +173,84 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
   // victim order; preferring small victims minimizes the service lost per
   // preemption), ties broken newest-first.  (demand, order) is a strict
   // total order over distinct allocations (orders are unique), so the
-  // sorted sequence is the same whether the set was gathered by the full
-  // scan below or by the per-element reverse index.
-  candidates_.clear();
+  // candidate sequence is the same whether it comes from the full scan and
+  // sort (the specification, fast path off) or from the reverse index and
+  // a heap (fast path on).  take() consumes that sequence: it skips
+  // candidates that no longer help, enforces the churn guard, and reports
+  // when the deficit is covered.
+  enum class Scan { More, Covered, Refused };
+  const double churn_limit = demand * (1 + 1e-9);
+  std::vector<workload::RequestId> victims;
+  double victim_demand = 0;
+  const auto take = [&](workload::RequestId id, const Active& a) {
+    bool helps = false;
+    for (auto& [elem, need] : deficit_) {
+      if (need <= 1e-9) continue;
+      for (const auto& [ue, amt] : a.usage) {
+        if (ue == elem) {
+          helps = true;
+          break;
+        }
+      }
+      if (helps) break;
+    }
+    if (!helps) return Scan::More;
+    // Churn guard: preempting more demand than the planned request serves
+    // would shrink net service — in that case leave the borrowers alone and
+    // let the request take the greedy/reject path instead.  (The paper
+    // fixes neither victim order nor this trade-off; see DESIGN.md.)
+    victim_demand += a.demand;
+    if (victim_demand > churn_limit) return Scan::Refused;
+    victims.push_back(id);
+    for (auto& [elem, need] : deficit_) {
+      for (const auto& [ue, amt] : a.usage)
+        if (ue == elem) need -= amt * a.demand;
+    }
+    const bool covered = std::all_of(
+        deficit_.begin(), deficit_.end(),
+        [](const auto& d) { return d.second <= 1e-9; });
+    return covered ? Scan::Covered : Scan::More;
+  };
+
+  Scan scan = Scan::More;
   if (indexing()) {
+    // Gather from the reverse index, dropping every entry whose own demand
+    // exceeds the churn limit.  That is exact: in victim order all such
+    // entries come after all the others, and once the specification's scan
+    // reaches one without having returned, it can only end in nullopt —
+    // a helpful one trips the churn guard (victim_demand >= 0, so the
+    // rounded sum is >= its own demand > churn_limit), an unhelpful one is
+    // skipped, and no later victim can be taken.  The filtered scan ends
+    // in nullopt at that same point, by running out of candidates.
+    victim_heap_.clear();
     for (const auto& [elem, need] : deficit_) {
       (void)need;
-      for (const workload::RequestId id : elem_actives_[elem])
-        candidates_.emplace_back(id, &active_.at(id));
+      const auto& bucket = elem_actives_[elem];
+      stats_.preempt_scanned += static_cast<long>(bucket.size());
+      for (const IndexEntry& e : bucket)
+        if (e.demand <= churn_limit) victim_heap_.push_back(e);
+    }
+    // Lazy selection: a heap under the same strict total order pops the
+    // candidates in sorted order, O(A + v log A) for v pops instead of a
+    // full sort.  An allocation is gathered once per deficient element it
+    // touches; its copies compare equal, so they pop consecutively.
+    const auto after = [](const IndexEntry& x, const IndexEntry& y) {
+      if (x.demand != y.demand) return x.demand > y.demand;
+      return x.order < y.order;
+    };
+    std::make_heap(victim_heap_.begin(), victim_heap_.end(), after);
+    const Active* last = nullptr;
+    while (scan == Scan::More && !victim_heap_.empty()) {
+      std::pop_heap(victim_heap_.begin(), victim_heap_.end(), after);
+      const IndexEntry e = victim_heap_.back();
+      victim_heap_.pop_back();
+      if (e.active == last) continue;
+      last = e.active;
+      ++stats_.preempt_popped;
+      scan = take(e.id, *e.active);
     }
   } else {
+    candidates_.clear();
     const auto touches_deficit = [&](const Active& a) {
       for (const auto& [elem, need] : deficit_) {
         if (need <= 0) continue;
@@ -194,65 +263,36 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
     };
     for (const auto& [id, a] : active_)
       if (!a.planned && touches_deficit(a)) candidates_.emplace_back(id, &a);
+    std::sort(candidates_.begin(), candidates_.end(),
+              [](const auto& x, const auto& y) {
+                if (x.second->demand != y.second->demand)
+                  return x.second->demand < y.second->demand;
+                return x.second->order > y.second->order;
+              });
+    candidates_.erase(
+        std::unique(candidates_.begin(), candidates_.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first;
+                    }),
+        candidates_.end());
+    for (const auto& [id, a] : candidates_) {
+      scan = take(id, *a);
+      if (scan != Scan::More) break;
+    }
   }
-  std::sort(candidates_.begin(), candidates_.end(),
-            [](const auto& x, const auto& y) {
-              if (x.second->demand != y.second->demand)
-                return x.second->demand < y.second->demand;
-              return x.second->order > y.second->order;
-            });
-  // The index path lists an allocation once per deficient element it
-  // touches; equal entries end up adjacent after the sort.
-  candidates_.erase(
-      std::unique(candidates_.begin(), candidates_.end(),
-                  [](const auto& x, const auto& y) {
-                    return x.first == y.first;
-                  }),
-      candidates_.end());
+  // Refused by the churn guard, or even full preemption would not make room.
+  if (scan != Scan::Covered) return std::nullopt;
 
-  std::vector<workload::RequestId> victims;
-  double victim_demand = 0;
-  for (const auto& [id, a] : candidates_) {
-    bool helps = false;
-    for (auto& [elem, need] : deficit_) {
-      if (need <= 1e-9) continue;
-      for (const auto& [ue, amt] : a->usage) {
-        if (ue == elem) {
-          helps = true;
-          break;
-        }
-      }
-      if (helps) break;
-    }
-    if (!helps) continue;
-    // Churn guard: preempting more demand than the planned request serves
-    // would shrink net service — in that case leave the borrowers alone and
-    // let the request take the greedy/reject path instead.  (The paper
-    // fixes neither victim order nor this trade-off; see DESIGN.md.)
-    victim_demand += a->demand;
-    if (victim_demand > demand * (1 + 1e-9)) return std::nullopt;
-    victims.push_back(id);
-    for (auto& [elem, need] : deficit_) {
-      for (const auto& [ue, amt] : a->usage)
-        if (ue == elem) need -= amt * a->demand;
-    }
-    const bool covered = std::all_of(
-        deficit_.begin(), deficit_.end(),
-        [](const auto& d) { return d.second <= 1e-9; });
-    if (covered) {
-      // Commit: release the victims' resources and drop them.  release()
-      // bumps the grow-epoch, which invalidates the greedy memos and any
-      // in-flight speculative batch.
-      for (const workload::RequestId vid : victims) {
-        Active& victim = active_.at(vid);
-        load_.release(victim.usage, victim.demand);
-        if (indexing()) index_remove(vid, victim);
-        active_.erase(vid);
-      }
-      return victims;
-    }
+  // Commit: release the victims' resources and drop them.  release() bumps
+  // the grow-epoch, which invalidates the greedy memos and any in-flight
+  // speculative batch.
+  for (const workload::RequestId vid : victims) {
+    Active& victim = active_.at(vid);
+    load_.release(victim.usage, victim.demand);
+    if (indexing()) index_remove(vid, victim);
+    active_.erase(vid);
   }
-  return std::nullopt;  // even full preemption would not make room
+  return victims;
 }
 
 void OliveEmbedder::hint_arrivals(const workload::Request* batch,
@@ -578,7 +618,7 @@ struct OliveEmbedder::Snapshot {
   Plan plan;
   std::vector<std::vector<double>> plan_used;
   std::unordered_map<workload::RequestId, Active> active;
-  int admission_counter = 0;
+  AdmissionOrder admission_counter = 0;
   std::unordered_map<long long, GreedyMemo> greedy_memo;
   FastPathStats stats;
 };
@@ -606,8 +646,8 @@ bool OliveEmbedder::restore(const WorldState& w) {
   rebuild_class_max();
   // Rebuild the preempt candidate index in ascending id order — a fixed
   // order so two restores of the same snapshot produce byte-identical
-  // bucket layouts (the preempt victim sort is order-insensitive anyway,
-  // but determinism should not rest on unordered_map iteration).
+  // bucket layouts (preempt's victim order does not depend on the layout
+  // anyway, but determinism should not rest on unordered_map iteration).
   elem_actives_.assign(substrate_.element_count(), {});
   if (indexing()) {
     std::vector<workload::RequestId> ids;

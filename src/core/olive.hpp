@@ -19,8 +19,9 @@
 // provably bit-identical shortcuts —
 //   * a per-class running maximum of plan residuals skips whole PLANEMBED
 //     stages when no column can pass its residual gate;
-//   * a per-element reverse index of non-planned allocations replaces the
-//     full active-set scan inside preempt();
+//   * a per-element reverse index of non-planned allocations, keyed inline
+//     by the victim order, replaces the full active-set scan and sort
+//     inside preempt() with a filtered gather and lazy heap selection;
 //   * GREEDYEMBED results are memoized per class and revalidated against
 //     the LoadTracker grow-epoch plus an element-wise residual check;
 //   * hint_arrivals() speculatively evaluates a whole slot's arrivals in
@@ -101,6 +102,11 @@ class OliveEmbedder final : public OnlineEmbedder {
 
   const Plan& plan() const noexcept { return plan_; }
 
+  /// Admission sequence number of an allocation (the newest-first victim
+  /// tie-break).  64-bit: a live server admitting 10^5 requests/s would
+  /// pass 2^31 within hours.
+  using AdmissionOrder = std::int64_t;
+
   /// Residual planned demand of a plan column (Eq. 17), for tests.
   double plan_residual(int cls, int column) const;
 
@@ -127,7 +133,17 @@ class OliveEmbedder final : public OnlineEmbedder {
     double demand = 0;
     bool planned = false;
     int cls = -1, column = -1;  // plan bookkeeping for planned allocations
-    int order = 0;              // admission order, newest preempted first
+    AdmissionOrder order = 0;   // newest preempted first
+  };
+
+  /// One elem_actives_ entry: the victim-order key (demand, order) inline,
+  /// so preempt() gathers and orders candidates without touching active_.
+  /// `active` points into active_'s node, which stays put across rehashes.
+  struct IndexEntry {
+    double demand = 0;
+    AdmissionOrder order = 0;
+    workload::RequestId id = -1;
+    Active* active = nullptr;
   };
 
   /// Memoized GREEDYEMBED answer for one (app, ingress) class.  Valid for a
@@ -208,7 +224,7 @@ class OliveEmbedder final : public OnlineEmbedder {
   LoadTracker load_;
   std::vector<std::vector<double>> plan_used_;  // [class][column] demand
   std::unordered_map<workload::RequestId, Active> active_;
-  int admission_counter_ = 0;
+  AdmissionOrder admission_counter_ = 0;
 
   /// Dijkstra weights of GREEDYEMBED — pure function of the substrate,
   /// hoisted out of the per-request loop.
@@ -216,10 +232,10 @@ class OliveEmbedder final : public OnlineEmbedder {
   /// max_k plan_residual(cls, k), kept exact on every plan_used_ change —
   /// lets embed() skip whole PLANEMBED stages without touching a column.
   std::vector<double> class_max_;
-  /// elem_actives_[element] = ids of *non-planned* actives whose usage
-  /// touches that element (the preempt candidate set), with O(1)
+  /// elem_actives_[element] = entries of the *non-planned* actives whose
+  /// usage touches that element (the preempt candidate set), with O(1)
   /// swap-remove via Active::elem_pos.
-  std::vector<std::vector<workload::RequestId>> elem_actives_;
+  std::vector<std::vector<IndexEntry>> elem_actives_;
   std::unordered_map<long long, GreedyMemo> greedy_memo_;
 
   std::vector<SpecDecision> spec_;
@@ -231,6 +247,7 @@ class OliveEmbedder final : public OnlineEmbedder {
 
   // preempt() scratch (reused across calls, cleared on entry)
   std::vector<std::pair<int, double>> deficit_;
+  std::vector<IndexEntry> victim_heap_;  // indexed path
   std::vector<std::pair<workload::RequestId, const Active*>> candidates_;
 };
 

@@ -146,6 +146,9 @@ struct SimMetrics {
   long fastpath_spec_commits = 0;
   long fastpath_spec_misses = 0;
   long fastpath_spec_serial = 0;
+  long fastpath_preempt_calls = 0;
+  long fastpath_preempt_scanned = 0;
+  long fastpath_preempt_popped = 0;
 
   std::vector<RequestRecord> records;  // only if record_requests
 };

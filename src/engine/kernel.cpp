@@ -29,6 +29,9 @@ void fold_fastpath(core::SimMetrics& metrics,
   metrics.fastpath_spec_commits = fp.spec_commits;
   metrics.fastpath_spec_misses = fp.spec_misses;
   metrics.fastpath_spec_serial = fp.spec_serial;
+  metrics.fastpath_preempt_calls = fp.preempt_calls;
+  metrics.fastpath_preempt_scanned = fp.preempt_scanned;
+  metrics.fastpath_preempt_popped = fp.preempt_popped;
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(BenchCli, RejectsUnknownFlags) {
 TEST(BenchCli, RejectsMissingValues) {
   for (const std::string flag :
        {"--scale", "--reps", "--topology", "--algo", "--json", "--threads",
-        "--duration-s", "--target-rps"}) {
+        "--duration-s", "--target-rps", "--case"}) {
     const auto r = parse({flag});
     ASSERT_FALSE(r.ok) << flag;
     EXPECT_NE(r.error.find("expects a value"), std::string::npos) << flag;
@@ -102,6 +102,38 @@ TEST(BenchCli, RejectsMalformedScale) {
   const auto r = parse({"--scale", "medium"});
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find("quick|full"), std::string::npos);
+}
+
+TEST(BenchCli, CaseFlagIsRepeatableAndDefaultsToEveryCase) {
+  EXPECT_TRUE(parse({}).args.cases.empty());
+  const auto r = parse({"--case", "replan_window", "--reps", "2", "--case",
+                        "replan_portfolio"});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.args.cases,
+            (std::vector<std::string>{"replan_window", "replan_portfolio"}));
+  const auto missing = parse({"--case"});
+  ASSERT_FALSE(missing.ok);
+  EXPECT_NE(missing.error.find("expects a value"), std::string::npos);
+}
+
+TEST(BenchCli, CaseNamesAreCheckedAgainstTheBench) {
+  const std::vector<std::string> known = {"replan_window", "replan_portfolio"};
+  std::string error;
+  EXPECT_TRUE(check_case_names({}, known, error));
+  EXPECT_TRUE(check_case_names({"replan_portfolio"}, known, error));
+  EXPECT_TRUE(check_case_names({}, {}, error));
+  // Exact names only: a prefix or a typo is refused with the known list.
+  for (const std::string bad : {"replan", "replan_windows", ""}) {
+    error.clear();
+    EXPECT_FALSE(check_case_names({"replan_window", bad}, known, error)) << bad;
+    EXPECT_NE(error.find("unknown case '" + bad + "'"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("replan_portfolio"), std::string::npos) << error;
+  }
+  // A bench without named cases refuses --case instead of ignoring it.
+  error.clear();
+  EXPECT_FALSE(check_case_names({"replan_window"}, {}, error));
+  EXPECT_NE(error.find("no named cases"), std::string::npos) << error;
 }
 
 TEST(BenchCli, RejectsMalformedNumbers) {

@@ -6,6 +6,9 @@
 // plan hot-swaps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <type_traits>
 #include <vector>
 
 #include "core/aggregation.hpp"
@@ -17,6 +20,10 @@
 
 namespace olive::core {
 namespace {
+
+// Admission orders are the newest-first victim tie-break; a 32-bit counter
+// would overflow on a long-running server and scramble that order.
+static_assert(std::is_same_v<OliveEmbedder::AdmissionOrder, std::int64_t>);
 
 net::SubstrateNetwork two_host_network(double cap0, double cap1,
                                        double ingress_cap) {
@@ -301,6 +308,206 @@ TEST(Speculation, EngineDrivenRunsIdenticalAcrossWidths) {
     EXPECT_EQ(m.rejection_cost, base.rejection_cost) << width;
     EXPECT_EQ(m.allocated_series, base.allocated_series) << width;
   }
+}
+
+// --- PreemptSelect: the indexed victim selection (inline-keyed entries,
+// churn-limit filter at gather time, lazy heap selection) against the
+// specification's full scan and sort.
+
+OliveOptions spec_options() {
+  OliveOptions off;
+  off.enable_fastpath = false;
+  return off;
+}
+
+TEST(PreemptSelect, OversizeBorrowerBehindEnoughSmallVictims) {
+  // Host A (500 CU) holds six demand-2 borrowers and one demand-11 borrower
+  // (above the churn limit of the demand-10 planned arrival).  Four small
+  // victims cover the 160 CU deficit before the big one is reached, so the
+  // gather-time filter drops it without changing the outcome.
+  const auto s = two_host_network(500, 400, 10);
+  const auto apps = chain_app();
+  const Plan plan = one_class_plan(s, apps, 10.0);
+  OliveEmbedder fast(s, apps, plan);
+  OliveEmbedder slow(s, apps, plan, "OLIVE", spec_options());
+  const std::vector<double> borrowers = {2.0, 2.0, 2.0, 11.0, 2.0, 2.0, 2.0};
+  for (OliveEmbedder* algo : {&fast, &slow})
+    for (std::size_t i = 0; i < borrowers.size(); ++i)
+      ASSERT_EQ(algo->embed(make_request(static_cast<int>(i) + 1,
+                                         borrowers[i], 2))
+                    .embedding.node_map[1],
+                1);  // all on host A
+
+  const auto a = fast.embed(make_request(100, 10.0, 0));
+  const auto b = slow.embed(make_request(100, 10.0, 0));
+  expect_same_outcome(a, b, "oversize borrower left alone");
+  EXPECT_EQ(a.kind, OutcomeKind::Planned);
+  // The four newest demand-2 borrowers, newest first.
+  EXPECT_EQ(a.preempted_ids, (std::vector<workload::RequestId>{7, 6, 5, 3}));
+  const FastPathStats st = fast.fastpath_stats();
+  EXPECT_EQ(st.preempt_scanned, 7);
+  EXPECT_EQ(st.preempt_popped, 4);
+}
+
+TEST(PreemptSelect, HelpfulOversizeCandidateRefusesWithoutSideEffects) {
+  // Host A (400 CU) holds four demand-2 borrowers and one demand-11
+  // borrower; the demand-10 planned arrival needs 180 CU more than is free.
+  // The small victims free only 160 CU, so the specification's scan reaches
+  // the big borrower, which helps but trips the churn guard: preemption is
+  // refused.  The fast path drops the big borrower at gather time and runs
+  // out of candidates instead — the same refusal, with nothing released.
+  const auto s = two_host_network(400, 100, 10);
+  const auto apps = chain_app();
+  const Plan plan = one_class_plan(s, apps, 10.0);
+  OliveEmbedder fast(s, apps, plan);
+  OliveEmbedder slow(s, apps, plan, "OLIVE", spec_options());
+  const std::vector<double> borrowers = {2.0, 11.0, 2.0, 2.0, 2.0};
+  for (OliveEmbedder* algo : {&fast, &slow})
+    for (std::size_t i = 0; i < borrowers.size(); ++i)
+      ASSERT_EQ(algo->embed(make_request(static_cast<int>(i) + 1,
+                                         borrowers[i], 2))
+                    .embedding.node_map[1],
+                1);
+
+  for (OliveEmbedder* algo : {&fast, &slow}) {
+    const auto residuals = algo->load().residuals();
+    const auto epoch = algo->load().grow_epoch();
+    const auto actives = algo->active_allocations();
+    // Host B (100 CU) cannot take 200 CU either: the arrival is rejected.
+    const auto out = algo->embed(make_request(100, 10.0, 0));
+    EXPECT_EQ(out.kind, OutcomeKind::Rejected);
+    EXPECT_TRUE(out.preempted_ids.empty());
+    EXPECT_EQ(algo->load().residuals(), residuals);
+    EXPECT_EQ(algo->load().grow_epoch(), epoch);
+    const auto after = algo->active_allocations();
+    ASSERT_EQ(after.size(), actives.size());
+    for (std::size_t i = 0; i < after.size(); ++i)
+      EXPECT_EQ(after[i].id, actives[i].id);
+  }
+  EXPECT_GT(fast.fastpath_stats().preempt_calls, 0);
+  EXPECT_EQ(fast.fastpath_stats().preempt_popped, 4);
+}
+
+TEST(PreemptSelect, AllocationOnTwoDeficientElementsIsListedOnce) {
+  // Two apps on the same chain topology: only app 0 is planned, so app-1
+  // arrivals at the planned ingress are greedy borrowers that use both the
+  // host and the scarce ingress link — the two elements the planned
+  // arrival finds deficient.  Each borrower sits in both index buckets and
+  // must still be taken (and reported) once.
+  net::SubstrateNetwork s;
+  s.add_node({"ingress", net::Tier::Edge, 10, 3.0, false});
+  s.add_node({"hostA", net::Tier::Edge, 400, 1.0, false});
+  s.add_node({"hostB", net::Tier::Edge, 400, 2.0, false});
+  s.add_link(0, 1, 40, 1.0);
+  s.add_link(1, 2, 10000, 1.0);
+  std::vector<net::Application> apps = chain_app();
+  apps.push_back(apps.front());
+  apps.back().name = "chain-unplanned";
+  const Plan plan = one_class_plan(s, apps, 10.0);
+  OliveEmbedder fast(s, apps, plan);
+  OliveEmbedder slow(s, apps, plan, "OLIVE", spec_options());
+  for (OliveEmbedder* algo : {&fast, &slow}) {
+    for (int id = 1; id <= 4; ++id) {
+      workload::Request r = make_request(id, 4.0, 0);
+      r.app = 1;
+      ASSERT_EQ(algo->embed(r).embedding.node_map[1], 1);
+    }
+  }
+  const auto a = fast.embed(make_request(100, 10.0, 0));
+  const auto b = slow.embed(make_request(100, 10.0, 0));
+  expect_same_outcome(a, b, "two deficient elements");
+  EXPECT_EQ(a.kind, OutcomeKind::Planned);
+  EXPECT_EQ(a.preempted_ids, (std::vector<workload::RequestId>{4, 3}));
+  const FastPathStats st = fast.fastpath_stats();
+  EXPECT_EQ(st.preempt_scanned, 8);  // four borrowers, two buckets each
+  EXPECT_EQ(st.preempt_popped, 2);
+}
+
+TEST(PreemptSelect, RandomizedDifferentialAgainstTheFullScan) {
+  // A seeded stream of arrivals and departures on an over-subscribed
+  // two-host network whose ingress link is scarce too, so a preemption can
+  // find two deficient elements; demands come from a small set so
+  // equal-demand ties (broken newest-first) are common.  Midway a new plan
+  // re-classifies every planned allocation as a borrower.  Every outcome —
+  // victims and their order included — must match the specification path.
+  net::SubstrateNetwork s;
+  s.add_node({"ingress", net::Tier::Edge, 10, 3.0, false});
+  s.add_node({"hostA", net::Tier::Edge, 400, 1.0, false});
+  s.add_node({"hostB", net::Tier::Edge, 400, 2.0, false});
+  s.add_link(0, 1, 50, 1.0);
+  s.add_link(1, 2, 10000, 1.0);
+  const auto apps = chain_app();
+  OliveEmbedder fast(s, apps, one_class_plan(s, apps, 12.0));
+  OliveEmbedder slow(s, apps, one_class_plan(s, apps, 12.0), "OLIVE",
+                     spec_options());
+  std::mt19937_64 rng(20251017);
+  std::vector<workload::Request> live;
+  long preemptions = 0;
+  const int n = 5000;
+  for (int id = 1; id <= n; ++id) {
+    if (id == n / 2) {
+      ASSERT_TRUE(fast.install_plan(one_class_plan(s, apps, 8.0)));
+      ASSERT_TRUE(slow.install_plan(one_class_plan(s, apps, 8.0)));
+    }
+    while (!live.empty() && rng() % 3 == 0) {
+      const std::size_t k = rng() % live.size();
+      fast.depart(live[k]);
+      slow.depart(live[k]);
+      live[k] = live.back();
+      live.pop_back();
+    }
+    const double demand = 0.5 * static_cast<double>(1 + rng() % 8);
+    const workload::Request r =
+        make_request(id, demand, rng() % 2 == 0 ? 0 : 2);
+    const auto a = fast.embed(r);
+    const auto b = slow.embed(r);
+    expect_same_outcome(a, b, "randomized differential");
+    if (::testing::Test::HasFailure()) FAIL() << "diverged at request " << id;
+    if (!a.preempted_ids.empty()) ++preemptions;
+    for (const workload::RequestId v : a.preempted_ids)
+      std::erase_if(live, [&](const auto& q) { return q.id == v; });
+    if (a.accepted()) live.push_back(r);
+  }
+  EXPECT_GT(preemptions, 20);
+  const auto fa = fast.active_allocations();
+  const auto sa = slow.active_allocations();
+  ASSERT_EQ(fa.size(), sa.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) EXPECT_EQ(fa[i].id, sa[i].id);
+  EXPECT_EQ(fast.load().residuals(), slow.load().residuals());
+  const FastPathStats st = fast.fastpath_stats();
+  EXPECT_GT(st.preempt_calls, 0);
+  EXPECT_LE(st.preempt_popped, st.preempt_scanned);
+}
+
+TEST(PreemptSelect, CountersReachSimMetrics) {
+  // The preempt counters are diagnostics folded into SimMetrics at run
+  // end; a run that preempts reports its attempts, and every victim was a
+  // popped candidate that had been gathered from the index.
+  ScenarioConfig cfg;
+  cfg.topology = "CittaStudi";
+  cfg.utilization = 1.1;
+  cfg.seed = 9;
+  cfg.drift = 1.5;
+  cfg.trace.horizon = 240;
+  cfg.trace.plan_slots = 180;
+  cfg.trace.lambda_per_node = 2.0;
+  cfg.sim.measure_from = 5;
+  cfg.sim.measure_to = 40;
+  cfg.sim.drain_slots = 10;
+  const Scenario sc = build_scenario(cfg);
+  engine::EngineConfig ecfg;
+  ecfg.sim = cfg.sim;
+  engine::Engine eng(sc.substrate, sc.apps, ecfg);
+  OliveEmbedder algo(sc.substrate, sc.apps, sc.plan);
+  const SimMetrics m = eng.run(algo, sc.online);
+  ASSERT_GT(m.preempted, 0);
+  EXPECT_GT(m.fastpath_preempt_calls, 0);
+  EXPECT_LE(m.fastpath_preempt_popped, m.fastpath_preempt_scanned);
+  EXPECT_GE(m.fastpath_preempt_popped, m.preempted);
+  const FastPathStats st = algo.fastpath_stats();
+  EXPECT_EQ(m.fastpath_preempt_calls, st.preempt_calls);
+  EXPECT_EQ(m.fastpath_preempt_scanned, st.preempt_scanned);
+  EXPECT_EQ(m.fastpath_preempt_popped, st.preempt_popped);
 }
 
 }  // namespace
