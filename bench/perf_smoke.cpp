@@ -95,10 +95,10 @@ void accumulate(olive::bench::PerfCase& c, const olive::core::PlanSolveInfo& inf
 const std::vector<std::string> kCases = {
     "plan_solve_cold",            "plan_solve_warm",
     "slotoff_window",             "replan_window",
-    "replan_portfolio",           "scale_plan_cold_sparse",
-    "scale_plan_cold_dense",      "scale_resolve_cold",
-    "scale_resolve_warm",         "scale_xl_plan_cold_dantzig",
-    "scale_xl_plan_cold_steepest", "scale_xl_stream_mmpp"};
+    "scale_plan_cold_sparse",     "scale_plan_cold_dense",
+    "scale_resolve_cold",         "scale_resolve_warm",
+    "scale_xl_plan_cold_dantzig", "scale_xl_plan_cold_steepest",
+    "scale_xl_stream_mmpp"};
 
 bool any_selected(std::initializer_list<const char*> names) {
   return std::any_of(names.begin(), names.end(), [](const char* n) {
@@ -172,20 +172,21 @@ int main(int argc, char** argv) {
     const int base = sc.online.empty() ? 0 : sc.online.front().arrival;
     for (const auto& r : sc.online)
       if (r.arrival - base < slotoff_slots) window.push_back(r);
-    core::SlotOffConfig so;
-    so.sim = cfg.sim;
-    so.sim.measure_from = 0;
-    so.sim.measure_to = slotoff_slots;
-    so.sim.drain_slots = 0;
-    so.plan = cfg.plan;
+    core::SimulatorConfig sim = cfg.sim;
+    sim.measure_from = 0;
+    sim.measure_to = slotoff_slots;
+    sim.drain_slots = 0;
+    core::PlanVneConfig plan = cfg.plan;
     // Same pricing-round cap run_algorithm("SlotOff") applies, so these rows
     // time the production SLOTOFF regime.
-    so.plan.max_rounds = std::min(so.plan.max_rounds, 8);
+    plan.max_rounds = std::min(plan.max_rounds, 8);
+    engine::Engine slotoff(sc.substrate, sc.apps,
+                           engine::EngineConfig{sim, {}, {}});
     bench::PerfCase slot;
     slot.name = "slotoff_window";
     slot.topology = topo;
     const auto start = Clock::now();
-    const auto m = core::run_slotoff(sc.substrate, sc.apps, window, so);
+    const auto m = slotoff.run_slotoff(window, plan);
     slot.seconds_total = seconds_since(start);
     slot.reps = static_cast<int>(m.plan_solves);
     slot.simplex_iterations = m.plan_simplex_iterations;
@@ -200,7 +201,7 @@ int main(int argc, char** argv) {
     print_case(slot);
   }
 
-  // --- replan window / replan portfolio -----------------------------------
+  // --- replan window -------------------------------------------------------
   // The mid-run re-planning regime on the drifting-utilization scenario:
   // an Iris OLIVE run whose online demand ramps to 2.5x the plan's
   // expectation while the engine's ReplanPolicy re-solves the trailing
@@ -208,20 +209,8 @@ int main(int argc, char** argv) {
   // later, basis warm-started across re-plans).  The row reports the
   // re-plan solves' pivots/warm hits next to the SLOTOFF rows; `objective`
   // is the sum of the re-plan LP objectives (deterministic, diffed by CI).
-  //
-  // replan_portfolio is the same run with portfolio re-planning
-  // (ReplanConfig::candidates = 4, docs/replanning.md): each launch solves
-  // four candidate configurations concurrently — losers bounded by the
-  // early-termination gap — scores them by replaying the trailing window
-  // against forked WorldState clones, and installs only the winner.  The
-  // row's solver counters and `objective` cover the *winning* solves (the
-  // engine accrues the installed candidate's PlanSolveInfo), so the column
-  // stays deterministic and CI-diffable like replan_window's.  Both rows
-  // also print the live embedder's preempt-stage counters (the replayed
-  // candidates' own preemptions are not in them).
-  for (const auto& [name, candidates] :
-       {std::pair{"replan_window", 1}, std::pair{"replan_portfolio", 4}}) {
-    if (!bench::case_selected(name)) continue;
+  // The run also prints the embedder's preempt-stage counters.
+  if (bench::case_selected("replan_window")) {
     auto cfg = bench::base_config(scale, "Iris", 1.0);
     cfg.drift = 1.5;
     const core::Scenario sc = core::build_scenario(cfg, 0);
@@ -231,11 +220,10 @@ int main(int argc, char** argv) {
     ecfg.replan.plan = cfg.plan;
     ecfg.replan.plan.max_rounds = 8;
     ecfg.replan.seed = cfg.seed;
-    ecfg.replan.candidates = candidates;
     engine::Engine eng(sc.substrate, sc.apps, ecfg);
     core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
     bench::PerfCase rp;
-    rp.name = name;
+    rp.name = "replan_window";
     rp.topology = "Iris";
     const auto start = Clock::now();
     const auto m = eng.run(algo, sc.online);
@@ -253,7 +241,7 @@ int main(int argc, char** argv) {
     cases.push_back(rp);
     print_case(rp);
     const double calls = std::max(1L, m.fastpath_preempt_calls);
-    std::cout << "# " << name << " preempt: " << m.fastpath_preempt_calls
+    std::cout << "# replan_window preempt: " << m.fastpath_preempt_calls
               << " calls, "
               << bench::json_num(m.fastpath_preempt_scanned / calls)
               << " entries scanned and "

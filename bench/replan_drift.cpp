@@ -4,13 +4,11 @@
 // The online demand ramps linearly from the calibrated utilization to
 // (1 + drift)x across the test period while the plan is built from the
 // undrifted history, so the static plan goes progressively stale.  OLIVE
-// runs four ways: with the static plan, with the engine's asynchronous
-// ReplanPolicy re-solving the trailing demand window at fixed boundaries
-// (install slots deterministic, PLAN-VNE warm-started across re-plans),
-// with the portfolio policy scoring 4 candidate configurations per launch
-// (ReplanConfig::candidates, docs/replanning.md — portfolio_win_pct is the
-// share of launches a non-baseline recipe won), and as plan-less QUICKG
-// for reference.
+// runs three ways on Iris and CittaStudi (--topology filters): with the
+// static plan, with the engine's asynchronous ReplanPolicy re-solving the
+// trailing demand window at fixed boundaries (install slots deterministic,
+// PLAN-VNE warm-started across re-plans; docs/replanning.md), and as
+// plan-less QUICKG for reference.
 //
 // Expected shape: at drift 0 re-planning only pays swap churn (the two
 // OLIVE rows tie within noise); as drift grows the static plan's guarantees
@@ -32,88 +30,64 @@ int main(int argc, char** argv) {
   const auto& cli = bench::parse_cli(argc, argv);
   const auto scale = cli.scale;
   bench::print_header(
-      "Replan drift study: OLIVE static vs periodic async re-plan, Iris",
-      scale);
+      "Replan drift study: OLIVE static vs periodic async re-plan", scale);
 
   // Three re-plans per test period at either scale.
   const int period = (scale.horizon - scale.plan_slots) / 3;
 
-  Table table({"drift_pct", "algorithm", "rejection_rate_pct", "total_cost",
-               "replans", "replan_warm_hits", "portfolio_win_pct"});
-  std::cout << "drift_pct,algorithm,rejection_rate_pct,total_cost,replans,"
-               "replan_warm_hits,portfolio_win_pct\n";
+  Table table({"topology", "drift_pct", "algorithm", "rejection_rate_pct",
+               "total_cost", "replans", "replan_warm_hits"});
+  std::cout << "topology,drift_pct,algorithm,rejection_rate_pct,total_cost,"
+               "replans,replan_warm_hits\n";
 
-  // Counts portfolio launches where a non-baseline recipe beat candidate 0.
-  struct WinCounter final : engine::Observer {
-    long launches = 0, upsets = 0;
-    void on_replan(const engine::ReplanEvent& ev) override {
-      if (ev.candidates < 2) return;
-      ++launches;
-      if (ev.winner != 0) ++upsets;
-    }
-  };
-
-  for (const double drift : {0.0, 0.75, 1.5}) {
-    auto cfg = bench::base_config(scale, "Iris", 1.0);
-    cfg.drift = drift;
-    // OLIVE-Portfolio = OLIVE-Replan widened to 4 scored candidates per
-    // launch (ReplanConfig::candidates; docs/replanning.md).
-    for (const std::string algo :
-         {"OLIVE", "OLIVE-Replan", "OLIVE-Portfolio", "QuickG"}) {
-      if (!bench::algo_selected(algo)) continue;
-      struct Row {
-        double rejection = 0, cost = 0;
+  for (const std::string topo : {"Iris", "CittaStudi"}) {
+    if (!bench::topology_selected(topo)) continue;
+    for (const double drift : {0.0, 0.75, 1.5}) {
+      auto cfg = bench::base_config(scale, topo, 1.0);
+      cfg.drift = drift;
+      for (const std::string algo : {"OLIVE", "OLIVE-Replan", "QuickG"}) {
+        if (!bench::algo_selected(algo)) continue;
+        struct Row {
+          double rejection = 0, cost = 0;
+          long replans = 0, warm = 0;
+        };
+        const auto rows = bench::map_repetitions(
+            cfg, scale.reps, [&](const core::Scenario& sc, int rep) -> Row {
+              if (algo != "OLIVE-Replan") {
+                const auto m = core::run_algorithm(sc, algo);
+                return {m.rejection_rate(), m.total_cost(), 0, 0};
+              }
+              engine::EngineConfig ecfg;
+              ecfg.sim = sc.config.sim;
+              ecfg.replan.period = period;
+              ecfg.replan.plan = sc.config.plan;
+              ecfg.replan.plan.max_rounds = 8;
+              // Per-rep bootstrap stream, like every other harness stream
+              // (identical seeds would correlate the rows the CI is over).
+              ecfg.replan.seed =
+                  Rng(sc.config.seed)
+                      .fork(stable_hash("replan-bootstrap"))
+                      .fork(static_cast<std::uint64_t>(rep) + 1)();
+              engine::Engine eng(sc.substrate, sc.apps, ecfg);
+              core::OliveEmbedder oe(sc.substrate, sc.apps, sc.plan, algo);
+              const auto m = eng.run(oe, sc.online);
+              return {m.rejection_rate(), m.total_cost(), m.replans,
+                      m.plan_warm_start_hits};
+            });
+        std::vector<double> rej, cost;
         long replans = 0, warm = 0;
-        long launches = 0, upsets = 0;
-      };
-      const bool replanning = algo == "OLIVE-Replan" ||
-                              algo == "OLIVE-Portfolio";
-      const auto rows = bench::map_repetitions(
-          cfg, scale.reps, [&](const core::Scenario& sc, int rep) -> Row {
-            if (!replanning) {
-              const auto m = core::run_algorithm(sc, algo);
-              return {m.rejection_rate(), m.total_cost(), 0, 0, 0, 0};
-            }
-            engine::EngineConfig ecfg;
-            ecfg.sim = sc.config.sim;
-            ecfg.replan.period = period;
-            ecfg.replan.plan = sc.config.plan;
-            ecfg.replan.plan.max_rounds = 8;
-            if (algo == "OLIVE-Portfolio") ecfg.replan.candidates = 4;
-            // Per-rep bootstrap stream, like every other harness stream
-            // (identical seeds would correlate the rows the CI is over).
-            ecfg.replan.seed =
-                Rng(sc.config.seed)
-                    .fork(stable_hash("replan-bootstrap"))
-                    .fork(static_cast<std::uint64_t>(rep) + 1)();
-            engine::Engine eng(sc.substrate, sc.apps, ecfg);
-            WinCounter wins;
-            eng.add_observer(&wins);
-            core::OliveEmbedder oe(sc.substrate, sc.apps, sc.plan, algo);
-            const auto m = eng.run(oe, sc.online);
-            return {m.rejection_rate(), m.total_cost(), m.replans,
-                    m.plan_warm_start_hits, wins.launches, wins.upsets};
-          });
-      std::vector<double> rej, cost;
-      long replans = 0, warm = 0, launches = 0, upsets = 0;
-      for (const Row& r : rows) {
-        rej.push_back(r.rejection);
-        cost.push_back(r.cost);
-        replans += r.replans;
-        warm += r.warm;
-        launches += r.launches;
-        upsets += r.upsets;
+        for (const Row& r : rows) {
+          rej.push_back(r.rejection);
+          cost.push_back(r.cost);
+          replans += r.replans;
+          warm += r.warm;
+        }
+        bench::stream_row(table,
+                          {topo, Table::num(100 * drift, 0), algo,
+                           bench::pct(stats::mean_ci(rej)),
+                           bench::with_ci(stats::mean_ci(cost)),
+                           std::to_string(replans), std::to_string(warm)});
       }
-      const double win_pct =
-          launches > 0 ? 100.0 * static_cast<double>(upsets) /
-                             static_cast<double>(launches)
-                       : 0.0;
-      bench::stream_row(table,
-                        {Table::num(100 * drift, 0), algo,
-                         bench::pct(stats::mean_ci(rej)),
-                         bench::with_ci(stats::mean_ci(cost)),
-                         std::to_string(replans), std::to_string(warm),
-                         Table::num(win_pct, 1)});
     }
   }
   std::cout << "\n";

@@ -4,14 +4,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/load.hpp"
 #include "core/plan.hpp"
-#include "core/world.hpp"
 #include "net/embedding.hpp"
 #include "workload/request.hpp"
 
@@ -122,31 +120,6 @@ class OnlineEmbedder {
     (void)r;
     (void)e;
     return std::nullopt;
-  }
-
-  /// Value-semantics snapshot of the embedder's complete mid-run state
-  /// (core/world.hpp).  Returns an empty WorldState when the embedder does
-  /// not support snapshots — the default — in which case the engine refuses
-  /// portfolio re-planning and dry runs against it.
-  virtual WorldState snapshot() const { return {}; }
-
-  /// Rewinds this embedder to a state previously captured by snapshot().
-  /// Returns false (changing nothing) when unsupported or when `w` was
-  /// produced by a different embedder type.  After a successful restore,
-  /// the run continues bit-identically to one that never left that state.
-  virtual bool restore(const WorldState& w) {
-    (void)w;
-    return false;
-  }
-
-  /// Builds an independent embedder in state `w` without touching this one.
-  /// Must be safe to call concurrently with mutations of `this`: the
-  /// implementation may read only construction-time immutable state
-  /// (substrate, apps, options) plus the snapshot payload.  Returns nullptr
-  /// when unsupported — the default.
-  virtual std::unique_ptr<OnlineEmbedder> fork(const WorldState& w) const {
-    (void)w;
-    return nullptr;
   }
 
   /// Residual substrate view (diagnostics / tests).

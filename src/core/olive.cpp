@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -604,76 +603,6 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
   }
 
   return EmbedOutcome{};  // reject (line 15)
-}
-
-// Everything restore() cannot rebuild from (substrate, apps, options): the
-// residual view, the plan and its per-column usage, the active ledger, the
-// admission order counter, the greedy memo (its epoch field stays valid
-// because load_ — including its grow-epoch — is part of the snapshot), and
-// the diagnostics counters.  class_max_ and elem_actives_ are derived and
-// rebuilt on restore; link_weights_ is a pure function of the substrate;
-// the speculation buffers are transient by design.
-struct OliveEmbedder::Snapshot {
-  LoadTracker load;
-  Plan plan;
-  std::vector<std::vector<double>> plan_used;
-  std::unordered_map<workload::RequestId, Active> active;
-  AdmissionOrder admission_counter = 0;
-  std::unordered_map<long long, GreedyMemo> greedy_memo;
-  FastPathStats stats;
-};
-
-WorldState OliveEmbedder::snapshot() const {
-  auto snap = std::make_shared<const Snapshot>(Snapshot{
-      load_, plan_, plan_used_, active_, admission_counter_, greedy_memo_,
-      stats_});
-  return WorldState("OliveEmbedder",
-                    std::shared_ptr<const Snapshot>(std::move(snap)));
-}
-
-bool OliveEmbedder::restore(const WorldState& w) {
-  const auto* held =
-      std::any_cast<std::shared_ptr<const Snapshot>>(&w.payload());
-  if (held == nullptr || *held == nullptr) return false;
-  const Snapshot& snap = **held;
-  load_ = snap.load;
-  plan_ = snap.plan;
-  plan_used_ = snap.plan_used;
-  active_ = snap.active;
-  admission_counter_ = snap.admission_counter;
-  greedy_memo_ = snap.greedy_memo;
-  stats_ = snap.stats;
-  rebuild_class_max();
-  // Rebuild the preempt candidate index in ascending id order — a fixed
-  // order so two restores of the same snapshot produce byte-identical
-  // bucket layouts (preempt's victim order does not depend on the layout
-  // anyway, but determinism should not rest on unordered_map iteration).
-  elem_actives_.assign(substrate_.element_count(), {});
-  if (indexing()) {
-    std::vector<workload::RequestId> ids;
-    ids.reserve(active_.size());
-    for (const auto& [id, a] : active_)
-      if (!a.planned) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (const workload::RequestId id : ids) index_add(id, active_.at(id));
-  } else {
-    for (auto& [id, a] : active_) a.elem_pos.clear();
-  }
-  // Any speculative batch was computed against the pre-restore state.
-  spec_.clear();
-  spec_cursor_ = 0;
-  spec_valid_ = false;
-  return true;
-}
-
-std::unique_ptr<OnlineEmbedder> OliveEmbedder::fork(const WorldState& w) const {
-  // Reads only construction-time immutable state (substrate_, apps_, name_,
-  // options_) plus the snapshot payload — never load_/plan_/active_ — so
-  // this is safe while the live embedder keeps mutating on another thread.
-  auto clone = std::make_unique<OliveEmbedder>(substrate_, apps_,
-                                               Plan::empty(), name_, options_);
-  if (!clone->restore(w)) return nullptr;
-  return clone;
 }
 
 bool OliveEmbedder::set_element_capacity(int element, double capacity) {

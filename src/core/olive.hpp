@@ -88,18 +88,6 @@ class OliveEmbedder final : public OnlineEmbedder {
   std::optional<EmbedOutcome> adopt(const workload::Request& r,
                                     const net::Embedding& e) override;
 
-  /// World snapshots (core/world.hpp): the payload copies load_, plan_,
-  /// plan_used_, the active ledger, the admission counter, the greedy memo
-  /// and the fast-path counters; the derived indexes (class_max_,
-  /// elem_actives_) are rebuilt deterministically on restore, and any
-  /// in-flight speculative batch is dropped (it was computed against a
-  /// state the restored world never saw).  fork() reads only
-  /// construction-time state plus the snapshot, so it is safe while this
-  /// embedder keeps serving.
-  WorldState snapshot() const override;
-  bool restore(const WorldState& w) override;
-  std::unique_ptr<OnlineEmbedder> fork(const WorldState& w) const override;
-
   const Plan& plan() const noexcept { return plan_; }
 
   /// Admission sequence number of an allocation (the newest-first victim
@@ -158,12 +146,6 @@ class OliveEmbedder final : public OnlineEmbedder {
     net::Embedding embedding;
     double unit_cost = 0;
   };
-
-  /// The snapshot() payload: every field that is not a pure function of the
-  /// construction-time (substrate, apps, options) triple or rebuildable
-  /// from the ones below.  Held behind a shared_ptr<const Snapshot> inside
-  /// WorldState, so snapshots copy in O(1) and stay immutable.
-  struct Snapshot;
 
   /// One speculative decision produced by hint_arrivals for one arrival.
   struct SpecDecision {

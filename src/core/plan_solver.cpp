@@ -136,9 +136,8 @@ Plan solve_plan_vne(const net::SubstrateNetwork& s,
     OLIVE_REQUIRE(agg.app >= 0 && agg.app < static_cast<int>(apps.size()),
                   "aggregate app out of range");
     OLIVE_REQUIRE(agg.demand > 0, "aggregate demand must be positive");
-    psi[c] = (config.psi >= 0 ? config.psi
-                              : default_psi(s, apps[agg.app].topology)) *
-             config.psi_scale;
+    psi[c] = config.psi >= 0 ? config.psi
+                             : default_psi(s, apps[agg.app].topology);
   }
 
   // Pricing parallelism.  Tasks are one-per-application (DP build + every
@@ -348,16 +347,9 @@ Plan solve_plan_vne(const net::SubstrateNetwork& s,
     warm_hit = solver.try_warm_start(warm->basis, row_keys, col_keys);
   }
   local_info.warm_start_hit = warm_hit;
-  // All-reject is feasible, so the master can only end Optimal — or
-  // GoodEnough when a bounded portfolio-loser solve asked for early
-  // termination (lp_opts.early_term_gap > 0); either way the extracted
-  // solution and duals are exact for the final primal-feasible basis.
-  const auto acceptable = [&](lp::Status st) {
-    return st == lp::Status::Optimal ||
-           (lp_opts.early_term_gap > 0 && st == lp::Status::GoodEnough);
-  };
+  // All-reject is feasible, so the master can only end Optimal.
   lp::SolveResult res = warm_hit ? solver.resolve() : solver.solve();
-  OLIVE_ASSERT(acceptable(res.status));
+  OLIVE_ASSERT(res.status == lp::Status::Optimal);
   local_info.simplex_iterations += res.iterations;
   // Classes with no feasible placement never price (their candidate pools
   // are empty for good), so the per-round grouping is fixed up front.
@@ -426,13 +418,7 @@ Plan solve_plan_vne(const net::SubstrateNetwork& s,
     local_info.columns_generated += added;
     res = solver.resolve();
     local_info.simplex_iterations += res.iterations;
-    OLIVE_ASSERT(acceptable(res.status));
-    // A good-enough master is the signal to stop generating columns too:
-    // further pricing against its (near-optimal) duals buys little.
-    if (res.status == lp::Status::GoodEnough) {
-      ++round;
-      break;
-    }
+    OLIVE_ASSERT(res.status == lp::Status::Optimal);
   }
 
   // Feed the columns back into the cache for future solves.  The bucket is

@@ -43,11 +43,6 @@ struct PlanVneConfig {
   double psi = -1.0;
   int max_rounds = 60;          ///< column-generation round limit
   double reduced_cost_tol = 1e-7;
-  /// Multiplier on the resolved ψ (whether configured or defaulted).  The
-  /// portfolio re-planner's candidate recipes vary it to trade acceptance
-  /// rate against resource cost; 1.0 — the default — is exact: ψ · 1.0 is
-  /// the identical double, so every existing solve stays bit-identical.
-  double psi_scale = 1.0;
   /// Pricing parallelism: tree-DP + column search run per application on
   /// the shared thread pool.  0 selects olive::default_thread_count()
   /// (OLIVE_THREADS env, else hardware concurrency); 1 forces the exact

@@ -249,23 +249,4 @@ SimMetrics Engine::run_slotoff(const workload::Trace& trace,
   return metrics;
 }
 
-DryRunReport Engine::dry_run_plan(const core::OnlineEmbedder& algo,
-                                  core::Plan plan,
-                                  const workload::Trace& window) const {
-  DryRunReport report;
-  const core::WorldState snap = algo.snapshot();
-  if (snap.empty()) return report;
-  const std::unique_ptr<core::OnlineEmbedder> clone = algo.fork(snap);
-  if (clone == nullptr) return report;
-  report.supported = true;
-  report.installed = clone->install_plan(std::move(plan));
-  std::int64_t horizon = 0;
-  for (const auto& r : window)
-    horizon = std::max(horizon,
-                       static_cast<std::int64_t>(r.arrival) + r.duration);
-  const std::vector<double> psi = resolve_psi(substrate_, apps_, config_.sim);
-  report.score = replay_window(*clone, window, horizon, psi);
-  return report;
-}
-
 }  // namespace olive::engine

@@ -6,8 +6,7 @@
 // lives; run_slotoff(trace, ...) is the SLOTOFF baseline's per-slot OFF-VNE
 // re-solve loop.  Observers hook the loop without perturbing it; a
 // ReplanPolicy (engine/replan.hpp) makes the run re-plan mid-flight.  The
-// legacy free functions `core::run_online` / `core::run_slotoff` and the
-// string-dispatch `core::run_algorithm` are thin wrappers over this class
+// string-dispatch `core::run_algorithm` is a thin wrapper over this class
 // and the EmbedderRegistry (engine/registry.hpp).
 //
 // Determinism: with the same config, trace, and algorithm, a run is
@@ -102,15 +101,6 @@ struct EngineConfig {
   FailureHandling failures;
 };
 
-/// What a what-if plan evaluation found — Engine::dry_run_plan's result.
-struct DryRunReport {
-  /// False when the embedder has no WorldState support (snapshot()/fork()
-  /// return empty/nullptr) — `installed` and `score` are meaningless then.
-  bool supported = false;
-  bool installed = false;  ///< the cloned embedder accepted the plan
-  ReplayScore score;       ///< realized cost of replaying `window`
-};
-
 class Engine {
  public:
   Engine(const net::SubstrateNetwork& substrate,
@@ -152,16 +142,6 @@ class Engine {
   core::SimMetrics run_slotoff(const workload::Trace& trace,
                                const core::PlanVneConfig& plan,
                                bool warm_start = true);
-
-  /// Operator what-if API: scores `plan` against `algo`'s *current* state
-  /// without disturbing it — fork a WorldState clone, install the plan on
-  /// the clone, replay `window` (a clip_window result: window coordinates,
-  /// arrival sorted) and return the realized cost.  This is exactly the
-  /// scoring path portfolio re-planning uses to rank candidates, so a
-  /// reported score is directly comparable with ReplanEvent::scores.  Safe
-  /// to call between slots of a live run; `algo` is only read.
-  DryRunReport dry_run_plan(const core::OnlineEmbedder& algo, core::Plan plan,
-                            const workload::Trace& window) const;
 
  private:
   const net::SubstrateNetwork& substrate_;

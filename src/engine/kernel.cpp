@@ -166,14 +166,6 @@ SlotKernel::SlotKernel(const net::SubstrateNetwork& substrate,
   if (dynamics_)
     workload::validate_failure_trace(config_.failures.trace, substrate_);
   algo_.reset();
-  // Portfolio re-planning snapshots the embedder at every launch slot;
-  // refuse an embedder without WorldState support now rather than at the
-  // first launch (inside a serving thread, that would end the process).
-  OLIVE_REQUIRE(!replan_.enabled() || config_.replan.candidates == 1 ||
-                    !algo_.snapshot().empty(),
-                "portfolio re-planning (candidates > 1) requires an "
-                "embedder with world snapshot support "
-                "(OnlineEmbedder::snapshot)");
 }
 
 double SlotKernel::elapsed_since(Clock::time_point start) {
@@ -223,15 +215,14 @@ void SlotKernel::begin_slot(std::int64_t t) {
 
   // 3. Re-plan launch, only while the install slot still falls inside the
   // run.  Capacity-aware re-planning prices against the capacity view as of
-  // this slot (its failure events already applied above); portfolio mode
-  // snapshots the embedder's world here, between slots on this thread.
+  // this slot (its failure events already applied above).
   if (replan_.wants_launch(t) &&
       t + config_.replan.install_delay < horizon_) {
     const auto start = clock_.now();
     std::vector<double> capacities;
     if (dynamics_ && config_.replan.capacity_aware)
       capacities = algo_.load().capacities();
-    replan_.launch(t, capacities, &algo_, &psi_);
+    replan_.launch(t, capacities);
     metrics_.algo_seconds += elapsed_since(start);
   }
 

@@ -116,11 +116,10 @@ class SlotKernel {
   };
 
   /// Validates the configuration on the caller's thread — the re-plan
-  /// config, the failure trace, and portfolio re-planning's need for
-  /// snapshot() support — and resets `algo`.  `algo`, `clock` and the
-  /// observers are borrowed and must outlive the kernel.  `series_window`
-  /// caps the offered/allocated series to the trailing slots (0 collects
-  /// none); the default keeps all of them.
+  /// config and the failure trace — and resets `algo`.  `algo`, `clock`
+  /// and the observers are borrowed and must outlive the kernel.
+  /// `series_window` caps the offered/allocated series to the trailing
+  /// slots (0 collects none); the default keeps all of them.
   SlotKernel(const net::SubstrateNetwork& substrate,
              const std::vector<net::Application>& apps, EngineConfig config,
              core::OnlineEmbedder& algo, Clock& clock,

@@ -9,23 +9,13 @@
 // PR-3 machinery), and hands the finished plan back to the engine at a
 // deterministic install slot `launch + install_delay`.
 //
-// Portfolio mode (docs/replanning.md): with `candidates` = K > 1, each
-// launch forks K candidate configurations — the exact baseline plus
-// systematic window / percentile / ψ variations — solves them concurrently,
-// replays the trailing admission window against a cloned WorldState per
-// candidate to score realized resource cost + rejections, and hot-swaps only
-// the winner at the policy-fixed install slot.  Losers run bounded
-// "good-enough" solves (SimplexOptions::early_term_gap) so the portfolio
-// costs far less than K exact solves.
-//
 // Determinism contract (same as parallel pricing, docs/parallelism.md): the
 // install slot is fixed by the policy, never by solver latency — if the
 // async solve has not finished by the install slot, the engine *blocks* on
-// it.  Solver inputs (including every candidate's recipe and the replay
-// scores) are a pure function of the trace prefix and the launch-slot world
-// snapshot, so every thread count produces bit-identical runs;
-// OLIVE_THREADS only moves how much of the solves overlap the embedding
-// loop.
+// it.  Solver inputs are a pure function of the trace prefix and the
+// launch-slot capacity view, so every thread count produces bit-identical
+// runs; OLIVE_THREADS only moves how much of the solve overlaps the
+// embedding loop.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +24,6 @@
 #include <vector>
 
 #include "core/aggregation.hpp"
-#include "core/algorithm.hpp"
 #include "core/plan.hpp"
 #include "core/plan_solver.hpp"
 #include "net/substrate.hpp"
@@ -83,34 +72,11 @@ struct ReplanConfig {
   /// behavior).  Irrelevant without a failure trace — the snapshot then
   /// equals the nominal capacities and the solve is bit-identical anyway.
   bool capacity_aware = true;
-  /// Portfolio width K.  1 — the default — is exactly the single-solve
-  /// policy above, bit for bit.  K > 1 enables portfolio re-planning:
-  /// candidate 0 is the exact baseline configuration, candidates 1..K-1
-  /// vary the aggregation percentile, the demand window, and the ψ scale
-  /// along a fixed recipe cycle, each solved concurrently and scored by
-  /// replaying the trailing window against a world snapshot.  Requires an
-  /// embedder with WorldState support (OnlineEmbedder::snapshot).
+  /// Must be 1: one solve per launch.  Portfolio re-planning (K > 1
+  /// candidate solves scored by replay) was removed — it bought no
+  /// measurable rejection or cost gain (EXPERIMENTS.md) — and ReplanPolicy
+  /// refuses any other value.
   int candidates = 1;
-  /// Early-termination gap for the non-baseline candidates' master solves
-  /// (SimplexOptions::early_term_gap): losers only need to be good enough
-  /// to score, so their LPs stop once the trailing pivots improve the
-  /// objective by at most this fraction of the total improvement.
-  /// Candidate 0 always solves exactly.  <= 0 solves every candidate
-  /// exactly.
-  double loser_gap = 0.02;
-};
-
-/// Realized cost of replaying an admission window against a candidate world
-/// (lower is better).  Resource cost accrues per slot over the replayed
-/// allocations that are active; every rejected — or replay-preempted —
-/// request is charged the plan objective's rejection penalty ψ_app · demand
-/// · duration, so the score is commensurate with the PLAN-VNE objective.
-struct ReplayScore {
-  double resource_cost = 0;   ///< Σ_slots Σ_active unit_cost · demand
-  double rejection_cost = 0;  ///< Σ_rejected ψ_app · demand · duration
-  long accepted = 0;          ///< replayed requests accepted (net of preempts)
-  long rejected = 0;          ///< replayed requests rejected or preempted
-  double total() const noexcept { return resource_cost + rejection_cost; }
 };
 
 /// Clips every request of `trace` whose activity overlaps [from, slot) to
@@ -118,22 +84,9 @@ struct ReplayScore {
 /// [0, slot - from)); `base` is the trace's slot-0 arrival offset.  Only
 /// arrivals strictly before `slot` are visible — the policy is causal.
 /// This is the exact demand-window clip every re-plan aggregates over,
-/// exposed for the portfolio scorer, Engine::dry_run_plan, and the
-/// boundary-pinning tests.
+/// exposed for the boundary-pinning tests.
 workload::Trace clip_window(const workload::Trace& trace, int base,
                             std::int64_t from, std::int64_t slot);
-
-/// Replays `window` (a clip_window result: window coordinates, arrival
-/// sorted) against `world` slot by slot — departures first, then arrivals in
-/// trace order — and scores the realized cost over `horizon` slots.
-/// Replayed requests get fresh ids far above any real trace id, so they
-/// never collide with allocations already active inside the snapshot;
-/// preempted pre-snapshot victims are *not* scored (the same blind spot for
-/// every candidate, so comparisons stay fair).  Mutates `world` freely —
-/// hand it a fork, never the live embedder.
-ReplayScore replay_window(core::OnlineEmbedder& world,
-                          const workload::Trace& window, std::int64_t horizon,
-                          const std::vector<double>& psi);
 
 /// What one re-plan did — the `on_replan` observer payload.
 struct ReplanEvent {
@@ -144,18 +97,14 @@ struct ReplanEvent {
   int classes = 0;         ///< classes in the new plan
   double solve_seconds = 0;  ///< wall-clock of the async solve itself
   core::PlanSolveInfo info;  ///< master-LP work of the solve
-  int candidates = 1;        ///< portfolio width of this launch
-  int winner = 0;            ///< index of the installed candidate
-  /// Replay score per candidate (empty when candidates == 1 — the single
-  /// solve installs unconditionally, nothing is scored).
-  std::vector<double> scores;
 };
 
-/// Owns the launch schedule, the async solve(s), the cross-replan
+/// Owns the launch schedule, the async solve, the cross-replan
 /// cache/warm-start state, and the demand feed the windows are clipped from.
 /// One instance lives inside each slot kernel (engine/kernel.hpp).
 class ReplanPolicy {
  public:
+  /// Refuses an invalid config (see ReplanConfig) on the caller's thread.
   ReplanPolicy(const net::SubstrateNetwork& substrate,
                const std::vector<net::Application>& apps, ReplanConfig config);
   ~ReplanPolicy();  // joins any still-flying solve
@@ -176,24 +125,18 @@ class ReplanPolicy {
 
   /// clip_window over every request observed so far: the feed clipped to
   /// [from, slot) in window coordinates.  Launches prune the feed only of
-  /// requests that departed before the longest window any candidate may
-  /// use, so this equals clip_window over the full run's arrivals for every
-  /// window a launch can ask for.
+  /// requests that departed before their window opened, so this equals
+  /// clip_window over the full run's arrivals for every window a later
+  /// launch can ask for.
   workload::Trace demand_window(std::int64_t from, std::int64_t slot) const;
 
-  /// Launches the async PLAN-VNE solve(s) over the trailing window of the
+  /// Launches the async PLAN-VNE solve over the trailing window of the
   /// demand feed (only arrivals strictly before `slot` have been observed —
   /// the policy is causal).  No-op if the window holds no demand.
-  /// `capacities`, if non-empty, is the current-capacity snapshot the solves
-  /// price against (ReplanConfig::capacity_aware; copied, so the caller's
-  /// view may keep mutating while the solves fly).  Portfolio mode
-  /// (candidates > 1) additionally needs `world` — the live embedder,
-  /// snapshotted here on the caller's thread at the policy-fixed slot — and
-  /// `psi`, the per-application rejection penalties the replay scorer
-  /// charges.
-  void launch(std::int64_t slot, const std::vector<double>& capacities,
-              const core::OnlineEmbedder* world,
-              const std::vector<double>* psi);
+  /// `capacities`, if non-empty, is the current-capacity snapshot the solve
+  /// prices against (ReplanConfig::capacity_aware; copied, so the caller's
+  /// view may keep mutating while the solve flies).
+  void launch(std::int64_t slot, const std::vector<double>& capacities);
 
   /// Install slot of the in-flight solve, or -1 when none is pending.
   std::int64_t pending_install_slot() const noexcept;
@@ -203,8 +146,8 @@ class ReplanPolicy {
     ReplanEvent event;
   };
 
-  /// Blocks until the pending solve(s) finish and returns the (winning)
-  /// plan.  Call exactly at its install slot.
+  /// Blocks until the pending solve finishes and returns its plan.  Call
+  /// exactly at its install slot.
   Result collect();
 
   /// Stops all future launches (the engine calls this when the embedder
@@ -217,35 +160,19 @@ class ReplanPolicy {
   void note_failure_impact(int broken) noexcept { failure_hits_ += broken; }
 
  private:
-  /// One candidate's complete outcome.  Each candidate solves against its
-  /// own column cache and warm-start basis (the carried ones when it is the
-  /// only candidate, private copies in a portfolio); collect() adopts the
-  /// winner's, so the carried state always matches the plan that was
-  /// actually installed.
-  struct CandidateOutcome {
-    core::Plan plan;
-    core::PlanSolveInfo info;
-    int classes = 0;
-    double solve_seconds = 0;
-    ReplayScore replay;
-    double score = 0;
-    core::PlanColumnCache cache;
-    core::PlanWarmStart warm;
-  };
-
   struct Pending {
     std::int64_t install_slot = 0;
-    /// The K concurrent candidate solves (one when candidates == 1).
-    std::vector<std::future<CandidateOutcome>> candidates;
-    ReplanEvent event;  ///< base event the winner fills in
+    std::future<Result> solve;
   };
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;
   ReplanConfig config_;
-  int window_ = 0;          ///< the baseline demand window, slots
-  int longest_window_ = 0;  ///< widest window any portfolio candidate uses
-  workload::Trace feed_;    ///< observed arrivals, run slots, arrival order
+  int window_ = 0;        ///< the demand window, slots
+  workload::Trace feed_;  ///< observed arrivals, run slots, arrival order
+  /// Carried across consecutive solves.  Only the in-flight solve touches
+  /// them while one is pending (consecutive solves never overlap:
+  /// install_delay < period).
   core::PlanColumnCache cache_;
   core::PlanWarmStart warm_;
   std::optional<Pending> pending_;

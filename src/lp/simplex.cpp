@@ -20,7 +20,6 @@ const char* to_string(Status s) noexcept {
     case Status::Infeasible: return "Infeasible";
     case Status::Unbounded: return "Unbounded";
     case Status::IterationLimit: return "IterationLimit";
-    case Status::GoodEnough: return "GoodEnough";
   }
   return "?";
 }
@@ -313,15 +312,13 @@ void Simplex::reset_pricing_weights() {
   // there keeps the approximation error bounded by the refactor interval
   // and makes the weight state a pure function of the pivot history.
   //
-  // Devex restarts the unit reference framework.  SteepestEdge restarts
-  // from the static norms 1 + ||a_j||^2 — exact for B = I (the cold-start
-  // slack basis) and a far better estimate of 1 + ||B^-1 a_j||^2 than 1.0
-  // for the columns the per-pivot recurrence never touches (it only
-  // updates the candidate list, so with unit resets a full scan would
-  // rank almost every column exactly like Dantzig).
+  // SteepestEdge restarts from the static norms 1 + ||a_j||^2 — exact for
+  // B = I (the cold-start slack basis) and a far better estimate of
+  // 1 + ||B^-1 a_j||^2 than 1.0 for the columns the per-pivot recurrence
+  // never touches (it only updates the candidate list, so with unit resets
+  // a full scan would rank almost every column exactly like Dantzig).
   if (options_.pricing == PricingRule::Dantzig) return;
-  weight_.assign(cols_.size(), 1.0);
-  if (options_.pricing != PricingRule::SteepestEdge) return;
+  weight_.resize(cols_.size());
   for (std::size_t c = 0; c < cols_.size(); ++c) {
     double norm2 = 1.0;
     for (const double v : cols_[c].vals) norm2 += v * v;
@@ -333,9 +330,8 @@ void Simplex::update_pricing_weights(int entering, int leaving, double pivot,
                                      const std::vector<double>& rho) {
   if (options_.pricing == PricingRule::Dantzig) return;
   // Forrest–Goldfarb max-form recurrence over the reference framework:
-  // gamma_q is the entering column's framework weight (for SteepestEdge
-  // that framework is anchored to the exact slack-basis norms by
-  // reset_pricing_weights, for Devex it is the unit framework).
+  // gamma_q is the entering column's framework weight (anchored to the
+  // exact slack-basis norms by reset_pricing_weights).
   //
   // The update is restricted to the candidate list: those are the only
   // columns that can enter before the next full scan rebuilds the list
@@ -614,21 +610,7 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
   int pivots_since_refactor = 0;
   long iters = 0;
 
-  // Diminishing-returns early termination (SimplexOptions::early_term_gap;
-  // phase 2 only — a GoodEnough result must be primal feasible).  Tracks the
-  // objective gain of each applied step (bound flips included) in a trailing
-  // ring; pure function of the deterministic pivot sequence.
-  const bool early_term = !phase1 && options_.early_term_gap > 0;
-  const int et_window = std::max(1, options_.early_term_window);
-  double et_total = 0, et_window_sum = 0;
-  long et_steps = 0;
-  std::vector<double> et_ring;
-  if (early_term) et_ring.assign(static_cast<std::size_t>(et_window), 0.0);
-
   while (true) {
-    if (early_term && et_steps >= et_window && et_total > 0 &&
-        et_window_sum <= options_.early_term_gap * et_total)
-      return finish(Status::GoodEnough, iters);
     if (iteration_budget-- <= 0) return finish(Status::IterationLimit, iters);
     ++iters;
 
@@ -683,14 +665,6 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
 
     // Apply the step.
     for (int i = 0; i < n_rows_; ++i) xb_[i] -= dir * t * alpha[i];
-
-    if (early_term) {
-      const double gain = -(entering_rc * dir * t);  // objective gain, >= 0
-      const std::size_t pos = static_cast<std::size_t>(et_steps++ % et_window);
-      et_window_sum += gain - et_ring[pos];
-      et_ring[pos] = gain;
-      et_total += gain;
-    }
 
     if (leaving_row < 0) {
       // Bound flip: the entering variable traverses its whole range.  The
@@ -914,10 +888,7 @@ void Simplex::extract_solution(SolveResult& res) {
 
 SolveResult Simplex::resolve_internal(long& budget) {
   SolveResult res = run(/*phase1=*/false, budget);
-  // GoodEnough bases are primal feasible, just not proven optimal — their
-  // solution and duals are exact for the final basis and safe to extract.
-  if (res.status != Status::Optimal && res.status != Status::GoodEnough)
-    return res;
+  if (res.status != Status::Optimal) return res;
   extract_solution(res);
   return res;
 }

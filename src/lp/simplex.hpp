@@ -43,10 +43,7 @@
 
 namespace olive::lp {
 
-/// GoodEnough: phase-2 stopped early by the diminishing-returns rule
-/// (SimplexOptions::early_term_gap).  The basis is primal feasible and the
-/// extracted solution/duals are exact for it — only optimality is waived.
-enum class Status { Optimal, Infeasible, Unbounded, IterationLimit, GoodEnough };
+enum class Status { Optimal, Infeasible, Unbounded, IterationLimit };
 
 const char* to_string(Status s) noexcept;
 
@@ -68,21 +65,19 @@ enum class BasisKind { Dense, SparseLU };
 ///
 ///  * Dantzig (default): most negative reduced cost.  The historical rule;
 ///    every golden trace and checked-in objective was pinned under it.
-///  * Devex: reference-framework weights (Forrest–Goldfarb).  Scores are
-///    d²/w_j; weights start at 1, grow via the pivot recurrence, and reset
-///    to the unit framework at every refactorization and (re)solve start.
-///  * SteepestEdge: like Devex, but the reference framework is anchored to
-///    the exact steepest-edge norms of the slack basis — every reset (solve
-///    start and refactorization) installs w_j = 1 + ‖a_j‖², exact for B = I
-///    and a far better estimate of 1 + ‖B⁻¹a_j‖² for untouched columns than
-///    the unit framework.  On tall masters (thousands of rows) this cuts
-///    pivot counts below Dantzig's.
+///  * SteepestEdge: reference-framework weights (Forrest–Goldfarb).  Scores
+///    are d²/w_j; weights grow via the pivot recurrence, and every reset
+///    (solve start and refactorization) anchors the framework to the exact
+///    steepest-edge norms of the slack basis, w_j = 1 + ‖a_j‖² — exact for
+///    B = I and a good estimate of 1 + ‖B⁻¹a_j‖² for untouched columns.  On
+///    tall masters (thousands of rows) this cuts pivot counts below
+///    Dantzig's.
 ///
-/// All three rules share the same eligibility test, tolerance, and
+/// Both rules share the same eligibility test, tolerance, and
 /// deterministic tie-break (score, then fingerprint, then index), so each
 /// rule is individually bit-reproducible; they differ only in which eligible
 /// column they prefer, i.e. the path taken to the optimum.
-enum class PricingRule { Dantzig, Devex, SteepestEdge };
+enum class PricingRule { Dantzig, SteepestEdge };
 
 struct SimplexOptions {
   long max_iterations = 200000;
@@ -109,20 +104,6 @@ struct SimplexOptions {
   /// switches large masters to SteepestEdge automatically
   /// (PlanVneConfig::steepest_edge_rows).
   PricingRule pricing = PricingRule::Dantzig;
-  /// Diminishing-returns early termination for phase 2 ("good enough"
-  /// bounded solves; docs/replanning.md).  0 — the default — disables it and
-  /// leaves every code path bit-identical to the exact solver.  > 0: after
-  /// at least `early_term_window` phase-2 pivots, the solve stops with
-  /// Status::GoodEnough once the objective improvement of the trailing
-  /// `early_term_window` pivots is at most `early_term_gap` times the total
-  /// phase-2 improvement so far.  The rule reads only the deterministic
-  /// pivot sequence (never wall time), so bounded solves are bit-identical
-  /// at every thread count.  Phase 1 is never cut short: a GoodEnough
-  /// result is always primal feasible.
-  double early_term_gap = 0.0;
-  /// Trailing pivot window of the early-termination rule (also the minimum
-  /// pivot count before it may fire).
-  int early_term_window = 32;
 };
 
 /// A basis snapshot that survives across Simplex instances.  Rows and
@@ -231,9 +212,9 @@ class Simplex {
   /// disagree on what counts as an attractive column.
   bool price_eligible(VarStatus st, int c, double d, double* score,
                       int* dir) const;
-  /// Pricing-weight lifecycle (Devex/SteepestEdge; no-ops under Dantzig):
-  /// reset installs the reference framework (unit for Devex, the exact
-  /// slack-basis norms 1 + ‖a_j‖² for SteepestEdge), the update applies the
+  /// Pricing-weight lifecycle (SteepestEdge; no-ops under Dantzig): reset
+  /// installs the reference framework (the exact slack-basis norms
+  /// 1 + ‖a_j‖²), the update applies the
   /// Forrest–Goldfarb max-form recurrence to the candidate working set + the
   /// leaving column using the leaving row `rho` of B⁻¹ — already computed
   /// for the dual update, so a pivot costs no extra solves.
@@ -296,7 +277,7 @@ class Simplex {
   BasisFactor factor_;              // SparseLU mode: LU + eta file
   long dense_refactorizations_ = 0;
   std::vector<int> candidates_;     // partial-pricing candidate columns
-  std::vector<double> weight_;      // devex/steepest-edge reference weights
+  std::vector<double> weight_;      // steepest-edge reference weights
   std::vector<std::pair<double, int>> scratch_eligible_;  // refresh scratch
   // Scratch vectors reused across solve()/resolve() calls so the hot loop
   // never reallocates (see run()).

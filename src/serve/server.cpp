@@ -238,8 +238,8 @@ void Server::serve_loop(Clock& clock) {
   metrics_ = kernel.finalize();
   fold_kernel(st, kernel, metrics_);
   stats_ = st;
-  // Joins any re-plan solve still borrowing the embedder before stop()
-  // returns (a portfolio candidate forks it).
+  // Joins any re-plan solve still in flight before stop() returns: the
+  // solve reads the kernel's policy state and the borrowed substrate.
   kernel_.reset();
 }
 

@@ -68,10 +68,10 @@ struct ServerConfig {
 };
 
 /// Long-lived serving facade over one OnlineEmbedder.  The embedder and the
-/// clock are borrowed until stop() returns; embedder calls other than a
-/// re-plan candidate's fork() happen on the single serving thread (the
-/// embedder's own speculation pool is its business).  submit() is safe
-/// from any number of threads.
+/// clock are borrowed until stop() returns, which also joins any re-plan
+/// solve still in flight; every embedder call happens on the single serving
+/// thread (the embedder's own speculation pool is its business).  submit()
+/// is safe from any number of threads.
 class Server {
  public:
   /// submit() outcome, returned to the producer immediately (never blocks).

@@ -107,20 +107,20 @@ TEST(BenchCli, RejectsMalformedScale) {
 TEST(BenchCli, CaseFlagIsRepeatableAndDefaultsToEveryCase) {
   EXPECT_TRUE(parse({}).args.cases.empty());
   const auto r = parse({"--case", "replan_window", "--reps", "2", "--case",
-                        "replan_portfolio"});
+                        "slotoff_window"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.args.cases,
-            (std::vector<std::string>{"replan_window", "replan_portfolio"}));
+            (std::vector<std::string>{"replan_window", "slotoff_window"}));
   const auto missing = parse({"--case"});
   ASSERT_FALSE(missing.ok);
   EXPECT_NE(missing.error.find("expects a value"), std::string::npos);
 }
 
 TEST(BenchCli, CaseNamesAreCheckedAgainstTheBench) {
-  const std::vector<std::string> known = {"replan_window", "replan_portfolio"};
+  const std::vector<std::string> known = {"replan_window", "slotoff_window"};
   std::string error;
   EXPECT_TRUE(check_case_names({}, known, error));
-  EXPECT_TRUE(check_case_names({"replan_portfolio"}, known, error));
+  EXPECT_TRUE(check_case_names({"slotoff_window"}, known, error));
   EXPECT_TRUE(check_case_names({}, {}, error));
   // Exact names only: a prefix or a typo is refused with the known list.
   for (const std::string bad : {"replan", "replan_windows", ""}) {
@@ -128,7 +128,7 @@ TEST(BenchCli, CaseNamesAreCheckedAgainstTheBench) {
     EXPECT_FALSE(check_case_names({"replan_window", bad}, known, error)) << bad;
     EXPECT_NE(error.find("unknown case '" + bad + "'"), std::string::npos)
         << error;
-    EXPECT_NE(error.find("replan_portfolio"), std::string::npos) << error;
+    EXPECT_NE(error.find("slotoff_window"), std::string::npos) << error;
   }
   // A bench without named cases refuses --case instead of ignoring it.
   error.clear();

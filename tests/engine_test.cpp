@@ -1,9 +1,7 @@
-// The engine redesign's contracts: Engine-driven runs are bit-identical to
-// the legacy run_online/run_slotoff wrappers when re-planning is off, the
-// EmbedderRegistry resolves the built-ins (and one-file plugins) by name,
-// observers see every slot and outcome without perturbing the run, and on
-// the drifting-utilization scenario the asynchronous ReplanPolicy beats the
-// static plan.
+// The engine's contracts: the EmbedderRegistry resolves the built-ins (and
+// one-file plugins) by name, observers see every slot and outcome without
+// perturbing the run, and on the drifting-utilization scenario the
+// asynchronous ReplanPolicy beats the static plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,10 +13,8 @@
 #include "core/scenario.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
-#include "engine/kernel.hpp"
 #include "engine/replan.hpp"
 #include "engine/registry.hpp"
-#include "net/embedding.hpp"
 #include "util/error.hpp"
 
 namespace olive::engine {
@@ -62,52 +58,6 @@ void expect_metrics_identical(const core::SimMetrics& a,
   EXPECT_EQ(a.plan_refactorizations, b.plan_refactorizations);
   EXPECT_EQ(a.plan_eta_length_max, b.plan_eta_length_max);
   EXPECT_EQ(a.replans, b.replans);
-}
-
-TEST(EngineEquivalence, RequestDrivenRunsMatchLegacyRunOnline) {
-  const core::Scenario sc = core::build_scenario(small_config());
-  // OLIVE (plan-driven) and QuickG (empty plan) both walk the identical
-  // event loop; with ReplanPolicy off the engine must be bit-identical to
-  // the legacy driver.
-  for (const bool quickg : {false, true}) {
-    core::OliveEmbedder legacy_algo(sc.substrate, sc.apps,
-                                    quickg ? core::Plan::empty() : sc.plan,
-                                    quickg ? "QuickG" : "OLIVE");
-    const core::SimMetrics legacy = core::run_online(
-        sc.substrate, sc.apps, sc.online, legacy_algo, sc.config.sim);
-
-    core::OliveEmbedder engine_algo(sc.substrate, sc.apps,
-                                    quickg ? core::Plan::empty() : sc.plan,
-                                    quickg ? "QuickG" : "OLIVE");
-    Engine engine(sc.substrate, sc.apps, EngineConfig{sc.config.sim, {}, {}});
-    const core::SimMetrics direct = engine.run(engine_algo, sc.online);
-    expect_metrics_identical(legacy, direct);
-  }
-}
-
-TEST(EngineEquivalence, SlotOffRunMatchesLegacyRunSlotOff) {
-  const core::Scenario sc = core::build_scenario(small_config());
-  workload::Trace window;
-  const int base = sc.online.empty() ? 0 : sc.online.front().arrival;
-  for (const auto& r : sc.online)
-    if (r.arrival - base < 12) window.push_back(r);
-  ASSERT_FALSE(window.empty());
-
-  core::SlotOffConfig so;
-  so.sim = sc.config.sim;
-  so.sim.measure_from = 0;
-  so.sim.measure_to = 12;
-  so.sim.drain_slots = 0;
-  so.plan = sc.config.plan;
-  so.plan.max_rounds = 8;
-  const core::SimMetrics legacy =
-      core::run_slotoff(sc.substrate, sc.apps, window, so);
-  ASSERT_GT(legacy.plan_solves, 0);
-
-  Engine engine(sc.substrate, sc.apps, EngineConfig{so.sim, {}, {}});
-  const core::SimMetrics direct =
-      engine.run_slotoff(window, so.plan, so.warm_start);
-  expect_metrics_identical(legacy, direct);
 }
 
 TEST(Registry, KnowsTheBuiltins) {
@@ -346,59 +296,12 @@ TEST(ClipWindow, RespectsTraceBaseAnd64BitSlots) {
   EXPECT_EQ(clipped[0].duration, 3);  // departure 19 clips at slot 18
 }
 
-// ------------------------------------------------- portfolio re-planning
+// -------------------------------------------- the removed portfolio width
 
-TEST(EngineReplanPortfolio, WinnerInstallsAndEventsCarryScores) {
-  const core::ScenarioConfig cfg = drifting_config();
-  const core::Scenario sc = core::build_scenario(cfg);
-
-  EngineConfig ecfg{cfg.sim, drifting_replan(cfg), {}};
-  ecfg.replan.candidates = 4;
-  Engine engine(sc.substrate, sc.apps, ecfg);
-  CountingObserver counter;
-  engine.add_observer(&counter);
-  core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
-  const core::SimMetrics portfolio = engine.run(algo, sc.online);
-
-  EXPECT_EQ(portfolio.replans, 2);
-  ASSERT_EQ(counter.replans.size(), 2u);
-  for (const ReplanEvent& ev : counter.replans) {
-    EXPECT_TRUE(ev.installed);
-    EXPECT_EQ(ev.candidates, 4);
-    ASSERT_EQ(ev.scores.size(), 4u);
-    EXPECT_GE(ev.winner, 0);
-    EXPECT_LT(ev.winner, 4);
-    // The winner really is the portfolio argmin (ties to the lowest index).
-    for (int k = 0; k < 4; ++k) {
-      EXPECT_LE(ev.scores[ev.winner], ev.scores[k]) << "candidate " << k;
-      if (ev.scores[k] == ev.scores[ev.winner]) {
-        EXPECT_LE(ev.winner, k);
-      }
-    }
-  }
-
-  // Acceptance criterion: on the drifting workload the portfolio winner
-  // must not lose to the single-candidate policy on rejections.
-  EngineConfig single_cfg{cfg.sim, drifting_replan(cfg), {}};
-  Engine single_engine(sc.substrate, sc.apps, single_cfg);
-  core::OliveEmbedder single_algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
-  const core::SimMetrics single = single_engine.run(single_algo, sc.online);
-  EXPECT_LE(portfolio.rejection_rate(), single.rejection_rate());
-}
-
-TEST(EngineReplanPortfolio, RefusesEmbeddersWithoutWorldSnapshots) {
-  const core::ScenarioConfig cfg = drifting_config();
-  const core::Scenario sc = core::build_scenario(cfg);
-  EngineConfig ecfg{cfg.sim, drifting_replan(cfg), {}};
-  ecfg.replan.candidates = 2;
-  Engine engine(sc.substrate, sc.apps, ecfg);
-  PlanlessEmbedder algo(sc.substrate);
-  // Same rejection style as failure traces vs set_element_capacity: the
-  // run refuses outright rather than silently degrading to K = 1.
-  EXPECT_THROW(engine.run(algo, sc.online), std::exception);
-}
-
-TEST(EngineReplanPortfolio, RefusesSnapshotlessEmbeddersBeforeTheFirstSlot) {
+TEST(EngineReplan, RefusesAPortfolioWidthBeforeTheFirstSlot) {
+  // Portfolio re-planning is gone; a config still asking for K > 1
+  // candidates is an error with a diagnostic, raised when the run is set
+  // up — never a silent fallback to one solve, never a mid-run throw.
   const core::ScenarioConfig cfg = small_config();
   const core::Scenario sc = core::build_scenario(cfg);
   EngineConfig ecfg{cfg.sim, {}, {}};
@@ -407,9 +310,15 @@ TEST(EngineReplanPortfolio, RefusesSnapshotlessEmbeddersBeforeTheFirstSlot) {
   Engine engine(sc.substrate, sc.apps, ecfg);
   CountingObserver counter;
   engine.add_observer(&counter);
-  PlanlessEmbedder algo(sc.substrate);
-  // Validated when the run is set up, not at the first launch slot.
-  EXPECT_THROW(engine.run(algo, sc.online), InvalidArgument);
+  core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
+  try {
+    engine.run(algo, sc.online);
+    ADD_FAILURE() << "candidates = 2 was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("portfolio re-planning was removed"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(counter.slots, 0);
 }
 
@@ -427,23 +336,16 @@ void expect_windows_identical(const workload::Trace& a,
 }
 
 TEST(ReplanFeed, PrunedFeedClipsLikeTheFullTraceAtEveryLaunch) {
-  // The policy keeps its own demand feed and prunes it at each launch; every
-  // window a candidate may use — including the doubled one of candidate 5
-  // (window << 1) — must still clip exactly like the full trace, long-lived
+  // The policy keeps its own demand feed and prunes it at each launch; the
+  // launch's window must still clip exactly like the full trace, long-lived
   // requests that arrived before the window included.
   const core::ScenarioConfig cfg = small_config();
   const core::Scenario sc = core::build_scenario(cfg);
   ReplanConfig rcfg;
   rcfg.period = 10;
   rcfg.install_delay = 1;
-  rcfg.candidates = 6;
   rcfg.plan = cfg.plan;
   rcfg.plan.max_rounds = 2;
-  // The world and ψ outlive the policy, whose destructor joins the last
-  // launch's solves.
-  core::OliveEmbedder world(sc.substrate, sc.apps, sc.plan, "OLIVE");
-  world.reset();
-  const std::vector<double> psi = resolve_psi(sc.substrate, sc.apps, cfg.sim);
   ReplanPolicy policy(sc.substrate, sc.apps, rcfg);
 
   const workload::Trace& trace = sc.online;
@@ -455,18 +357,16 @@ TEST(ReplanFeed, PrunedFeedClipsLikeTheFullTraceAtEveryLaunch) {
   for (std::int64_t t = 0; t < n_slots && launches < 5; ++t) {
     if (policy.pending_install_slot() == t) policy.collect();
     if (policy.wants_launch(t)) {
-      policy.launch(t, {}, &world, &psi);
+      policy.launch(t, {});
       ++launches;
-      for (const int window : {5, 10, 20}) {  // >> 1, baseline, << 1
-        const std::int64_t from = std::max<std::int64_t>(0, t - window);
-        SCOPED_TRACE(::testing::Message() << "slot " << t << " window "
-                                          << window);
-        expect_windows_identical(policy.demand_window(from, t),
-                                 clip_window(trace, base, from, t));
-        for (const auto& r : trace)
-          if (r.arrival - base < from && r.arrival - base + r.duration > from)
-            ++long_lived;
-      }
+      // The launch's own window: [t - period, t).
+      const std::int64_t from = std::max<std::int64_t>(0, t - rcfg.period);
+      SCOPED_TRACE(::testing::Message() << "slot " << t);
+      expect_windows_identical(policy.demand_window(from, t),
+                               clip_window(trace, base, from, t));
+      for (const auto& r : trace)
+        if (r.arrival - base < from && r.arrival - base + r.duration > from)
+          ++long_lived;
     }
     std::size_t end = next;
     while (end < trace.size() && trace[end].arrival - base == t) ++end;
@@ -475,60 +375,6 @@ TEST(ReplanFeed, PrunedFeedClipsLikeTheFullTraceAtEveryLaunch) {
   }
   EXPECT_EQ(launches, 5);
   EXPECT_GT(long_lived, 0);  // the windows really start mid-lease
-}
-
-// ------------------------------------------------------- dry_run_plan
-
-TEST(EngineDryRun, ScoresACandidatePlanWithoutDisturbingTheLiveRun) {
-  const core::ScenarioConfig cfg = drifting_config();
-  const core::Scenario sc = core::build_scenario(cfg);
-  Engine engine(sc.substrate, sc.apps, EngineConfig{cfg.sim, {}, {}});
-
-  core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
-  algo.reset();
-  // Bring the embedder into a non-trivial mid-run state.
-  const int base = sc.online.front().arrival;
-  workload::Trace prefix;
-  for (const auto& r : sc.online)
-    if (r.arrival - base < 60) prefix.push_back(r);
-  for (const auto& r : prefix) algo.embed(r);
-  const core::WorldState before = algo.snapshot();
-
-  const workload::Trace window =
-      clip_window(sc.online, base, /*from=*/30, /*slot=*/60);
-  ASSERT_FALSE(window.empty());
-
-  // Score the current plan and the empty plan (QUICKG behavior) —
-  // both what-ifs must leave the live embedder untouched.
-  const DryRunReport keep = engine.dry_run_plan(algo, sc.plan, window);
-  const DryRunReport drop =
-      engine.dry_run_plan(algo, core::Plan::empty(), window);
-  EXPECT_TRUE(keep.supported);
-  EXPECT_TRUE(keep.installed);
-  EXPECT_TRUE(drop.supported);
-  EXPECT_GT(keep.score.accepted + keep.score.rejected, 0);
-  EXPECT_GE(keep.score.total(), 0.0);
-
-  // The live embedder is bit-identical to before the dry runs: a restore
-  // from the pre-dry-run snapshot must be a no-op for future decisions.
-  const core::WorldState after = algo.snapshot();
-  core::OliveEmbedder replayed(sc.substrate, sc.apps, sc.plan, "OLIVE");
-  ASSERT_TRUE(replayed.restore(before));
-  core::OliveEmbedder replayed2(sc.substrate, sc.apps, sc.plan, "OLIVE");
-  ASSERT_TRUE(replayed2.restore(after));
-  for (const auto& r : sc.online) {
-    if (r.arrival - base < 60 || r.arrival - base >= 90) continue;
-    const core::EmbedOutcome a = replayed.embed(r);
-    const core::EmbedOutcome b = replayed2.embed(r);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(net::fingerprint64(a.embedding), net::fingerprint64(b.embedding));
-  }
-
-  // Unsupported embedders report so instead of lying with a zero score.
-  PlanlessEmbedder planless(sc.substrate);
-  const DryRunReport unsupported =
-      engine.dry_run_plan(planless, sc.plan, window);
-  EXPECT_FALSE(unsupported.supported);
 }
 
 }  // namespace

@@ -129,15 +129,16 @@ TEST_P(ParallelDeterminismTest, SlotOffWindowProducesIdenticalSimMetrics) {
   ASSERT_FALSE(window.empty());
 
   const auto run_window = [&](int threads) {
-    SlotOffConfig so;
-    so.sim = sc.config.sim;
-    so.sim.measure_from = 0;
-    so.sim.measure_to = 12;
-    so.sim.drain_slots = 0;
-    so.plan = sc.config.plan;
-    so.plan.max_rounds = 8;
-    so.plan.threads = threads;
-    return run_slotoff(sc.substrate, sc.apps, window, so);
+    SimulatorConfig sim = sc.config.sim;
+    sim.measure_from = 0;
+    sim.measure_to = 12;
+    sim.drain_slots = 0;
+    PlanVneConfig plan = sc.config.plan;
+    plan.max_rounds = 8;
+    plan.threads = threads;
+    engine::Engine eng(sc.substrate, sc.apps,
+                       engine::EngineConfig{sim, {}, {}});
+    return eng.run_slotoff(window, plan);
   };
 
   const SimMetrics serial = run_window(1);
@@ -212,57 +213,6 @@ TEST(ReplanDeterminism, EngineRunBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.allocated_series, parallel.allocated_series) << threads;
     EXPECT_EQ(serial.rejected_by_node_app, parallel.rejected_by_node_app)
         << threads;
-  }
-}
-
-// Portfolio re-planning widens each launch to K concurrent candidate
-// solves scored by world-snapshot replays — all of it still under the same
-// contract.  Sweep K ∈ {1, 2, 4} × pricing threads {1, 4}: for every K the
-// run must be bitwise stable across thread counts (the candidate recipes,
-// the replay scores, and the winner pick are pure functions of the trace
-// prefix and the launch-slot snapshot, so concurrency only moves wall
-// clock).  K = 1 additionally equals the plain single-solve run because it
-// *is* that code path.
-TEST(ReplanDeterminism, PortfolioSweepBitwiseStableAcrossThreadCounts) {
-  ScenarioConfig cfg = small_config("Iris", 7);
-  cfg.drift = 1.5;
-  cfg.sim.drain_slots = 10;
-  const Scenario sc = build_scenario(cfg);
-
-  const auto run_with = [&](int candidates, int threads) {
-    engine::EngineConfig ecfg;
-    ecfg.sim = cfg.sim;
-    ecfg.replan.period = 20;
-    ecfg.replan.plan = cfg.plan;
-    ecfg.replan.plan.max_rounds = 8;
-    ecfg.replan.plan.threads = threads;
-    ecfg.replan.seed = cfg.seed;
-    ecfg.replan.candidates = candidates;
-    engine::Engine eng(sc.substrate, sc.apps, ecfg);
-    OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
-    return eng.run(algo, sc.online);
-  };
-
-  for (const int candidates : {1, 2, 4}) {
-    const SimMetrics serial = run_with(candidates, 1);
-    ASSERT_GT(serial.replans, 0) << "K=" << candidates;
-    for (const int threads : {4}) {
-      const SimMetrics parallel = run_with(candidates, threads);
-      const std::string tag =
-          "K=" + std::to_string(candidates) +
-          " threads=" + std::to_string(threads);
-      EXPECT_EQ(serial.offered, parallel.offered) << tag;
-      EXPECT_EQ(serial.accepted, parallel.accepted) << tag;
-      EXPECT_EQ(serial.rejected, parallel.rejected) << tag;
-      EXPECT_EQ(serial.preempted, parallel.preempted) << tag;
-      EXPECT_EQ(serial.rejected_demand, parallel.rejected_demand) << tag;
-      EXPECT_EQ(serial.resource_cost, parallel.resource_cost) << tag;
-      EXPECT_EQ(serial.rejection_cost, parallel.rejection_cost) << tag;
-      EXPECT_EQ(serial.replans, parallel.replans) << tag;
-      EXPECT_EQ(serial.allocated_series, parallel.allocated_series) << tag;
-      EXPECT_EQ(serial.rejected_by_node_app, parallel.rejected_by_node_app)
-          << tag;
-    }
   }
 }
 

@@ -6,14 +6,13 @@
 //    and to Engine::run with re-planning and per-request records on (the
 //    two-mode determinism contract's simulated half);
 //  * live serving refuses configurations it cannot honor, on the caller's
-//    thread, and stop() joins re-plan solves still borrowing the embedder;
+//    thread, and stop() joins a re-plan solve still in flight;
 //  * pre-drawn open-loop arrival schedules are deterministic and match the
 //    requested rate.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "topo/topologies.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/appgen.hpp"
 #include "workload/caida.hpp"
 #include "workload/stream.hpp"
@@ -315,112 +315,150 @@ TEST_F(ServeEquivalence, LiveStartRefusesPerRequestRecords) {
 }
 
 TEST_F(ServeEquivalence, LiveStartRefusesAnInvalidReplanConfig) {
-  serve::ServerConfig scfg;
-  scfg.sim = sim_;
-  scfg.replan.period = 10;
-  scfg.replan.install_delay = 10;  // must stay in [1, period)
-  serve::Server server(substrate_, apps_, scfg);
-  core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
-  SteadyClock clock;
-  EXPECT_THROW(server.start(algo, clock), InvalidArgument);
-  EXPECT_FALSE(server.running());
+  // Refused on the caller's thread before the embedder is touched or a
+  // slot is served: an install delay outside [1, period), and a portfolio
+  // width (portfolio re-planning was removed).
+  for (const bool portfolio : {false, true}) {
+    serve::ServerConfig scfg;
+    scfg.sim = sim_;
+    scfg.replan.period = 10;
+    if (portfolio) {
+      scfg.replan.candidates = 2;
+    } else {
+      scfg.replan.install_delay = 10;  // must stay in [1, period)
+    }
+    serve::Server server(substrate_, apps_, scfg);
+    core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
+    SteadyClock clock;
+    EXPECT_THROW(server.start(algo, clock), InvalidArgument) << portfolio;
+    EXPECT_FALSE(server.running());
+    EXPECT_EQ(server.stats().slots, 0);
+  }
 }
 
 // -------------------------------------------------- Live-mode lifetime
 
-/// What a portfolio candidate's fork() saw, shared with the test so it
-/// survives the embedder.
-struct ForkProbe {
-  std::atomic<bool> entered{false};
-  std::atomic<bool> returned{false};
-  std::atomic<bool> embedder_alive{true};
-  std::atomic<bool> outlived_embedder{false};
+/// Occupies every worker of the global ThreadPool until opened, so a
+/// re-plan solve submitted meanwhile is queued behind the gate and cannot
+/// finish before open().  The destructor opens the gate and waits until
+/// every worker has let go of it, so a failed test never leaves the pool
+/// blocked and no worker touches a destroyed gate.
+class PoolGate {
+ public:
+  /// Blocks every worker; returns once all of them are held.
+  void close() {
+    const int workers = ThreadPool::global().workers();
+    for (int i = 0; i < workers; ++i)
+      ThreadPool::global().submit([this] {
+        ++held_;
+        while (!open_) std::this_thread::sleep_for(1ms);
+        --held_;
+      });
+    while (held_ < workers) std::this_thread::sleep_for(1ms);
+  }
+  void open() { open_ = true; }
+  ~PoolGate() {
+    open();
+    while (held_ > 0) std::this_thread::sleep_for(1ms);
+  }
+
+ private:
+  std::atomic<int> held_{0};
+  std::atomic<bool> open_{false};
 };
 
-/// OLIVE behind a forwarding wrapper whose fork() lingers, so a re-plan
-/// candidate is reliably still running when the test stops the server.
-class LingeringForkEmbedder final : public core::OnlineEmbedder {
+/// OLIVE (empty plan at first) behind a forwarding wrapper that closes the
+/// pool gate at the first plan install and then reports, from the serving
+/// thread's own call sequence, when the next re-plan has been launched.
+class GatingEmbedder final : public core::OnlineEmbedder {
  public:
-  LingeringForkEmbedder(const net::SubstrateNetwork& s,
-                        const std::vector<net::Application>& apps,
-                        std::shared_ptr<ForkProbe> probe)
-      : inner_(s, apps, core::Plan::empty(), "QuickG"),
-        probe_(std::move(probe)) {}
-  ~LingeringForkEmbedder() override { probe_->embedder_alive = false; }
+  GatingEmbedder(const net::SubstrateNetwork& s,
+                 const std::vector<net::Application>& apps, PoolGate& gate)
+      : inner_(s, apps, core::Plan::empty(), "QuickG"), gate_(gate) {}
+
+  /// True once a re-plan launched after the gate closed.  A launch happens
+  /// in begin_slot before that slot's departures; once the gate is closed
+  /// (inside install_plan, at slot launch + install_delay) an embed() puts
+  /// the serving thread in some slot s, and the next depart() is in slot
+  /// s + 1 or later — past the launch slot launch + period, since
+  /// install_delay + 1 == period below.
+  bool launched_behind_gate() const { return launched_; }
 
   std::string name() const override { return inner_.name(); }
   void reset() override { inner_.reset(); }
   core::EmbedOutcome embed(const workload::Request& r) override {
+    if (gated_) embedded_ = true;
     return inner_.embed(r);
   }
   void hint_arrivals(const workload::Request* batch,
                      std::size_t count) override {
     inner_.hint_arrivals(batch, count);
   }
-  void depart(const workload::Request& r) override { inner_.depart(r); }
+  void depart(const workload::Request& r) override {
+    if (embedded_) launched_ = true;
+    inner_.depart(r);
+  }
   bool install_plan(core::Plan plan) override {
-    return inner_.install_plan(std::move(plan));
-  }
-  core::WorldState snapshot() const override { return inner_.snapshot(); }
-  bool restore(const core::WorldState& w) override {
-    return inner_.restore(w);
-  }
-  std::unique_ptr<core::OnlineEmbedder> fork(
-      const core::WorldState& w) const override {
-    const std::shared_ptr<ForkProbe> probe = probe_;  // outlives *this
-    probe->entered = true;
-    for (int i = 0; i < 60 && probe->embedder_alive; ++i)
-      std::this_thread::sleep_for(5ms);
-    if (!probe->embedder_alive) {
-      probe->outlived_embedder = true;
-      return nullptr;  // *this is gone; touch nothing of it
+    if (!gated_) {
+      gate_.close();
+      gated_ = true;
     }
-    auto clone = inner_.fork(w);
-    probe->returned = true;
-    return clone;
+    return inner_.install_plan(std::move(plan));
   }
   const core::LoadTracker& load() const override { return inner_.load(); }
 
  private:
   core::OliveEmbedder inner_;
-  std::shared_ptr<ForkProbe> probe_;
+  PoolGate& gate_;
+  bool gated_ = false;    // serving thread only
+  bool embedded_ = false;  // serving thread only
+  std::atomic<bool> launched_{false};
 };
 
-TEST_F(ServeEquivalence, LiveStopJoinsInFlightPortfolioSolves) {
-  // The server is declared before the embedder and the clock, so both die
-  // first: stop() must not return while a portfolio candidate may still
-  // fork the embedder.
+TEST_F(ServeEquivalence, LiveStopJoinsAnInFlightReplanSolve) {
+  // stop() must not return while a re-plan solve is still in flight: the
+  // solve reads the serving run's policy state, and a caller may tear down
+  // everything the server borrowed the moment stop() returns.  The solve
+  // launched after the first install is held behind a closed pool gate, so
+  // a stop() that returns before the gate opens did not join it.
+  ThreadPool::global().ensure_workers(2);  // zero workers would solve inline
   serve::ServerConfig scfg;
   scfg.sim = sim_;
   scfg.slot_duration = 5ms;
-  scfg.replan.period = 40;
-  scfg.replan.install_delay = 39;  // the candidates fly for ~200 ms
-  scfg.replan.candidates = 2;
+  scfg.replan.period = 20;
+  scfg.replan.install_delay = 19;  // launches at 20, 40; installs at 39, 59
   scfg.replan.plan.max_rounds = 2;
   workload::TraceGenerator gen(substrate_, apps_, config_);
   Rng rng(5);
-  const workload::Trace trace = gen.generate(rng);
+  workload::Trace trace = gen.generate(rng);
   ASSERT_FALSE(trace.empty());
+  for (auto& r : trace) r.duration = 1;  // every admitted slot has departures
 
-  auto probe = std::make_shared<ForkProbe>();
+  PoolGate gate;
   serve::Server server(substrate_, apps_, scfg);
-  bool entered_while_running = false;
-  {
-    LingeringForkEmbedder algo(substrate_, apps_, probe);
-    SteadyClock clock;
-    server.start(algo, clock);
-    const auto give_up = std::chrono::steady_clock::now() + 30s;
-    for (std::size_t i = 0;
-         !probe->entered && std::chrono::steady_clock::now() < give_up; ++i) {
-      server.submit(trace[i % trace.size()]);
-      if (i % 16 == 0) std::this_thread::sleep_for(100us);
-    }
-    entered_while_running = probe->entered && server.running();
-    server.stop(/*drain=*/false);
-    EXPECT_TRUE(probe->returned) << "stop() returned before the fork did";
+  GatingEmbedder algo(substrate_, apps_, gate);
+  SteadyClock clock;
+  server.start(algo, clock);
+  const auto give_up = std::chrono::steady_clock::now() + 30s;
+  for (std::size_t i = 0; !algo.launched_behind_gate() &&
+                          std::chrono::steady_clock::now() < give_up;
+       ++i) {
+    server.submit(trace[i % trace.size()]);
+    if (i % 16 == 0) std::this_thread::sleep_for(100us);
   }
-  EXPECT_TRUE(entered_while_running) << "no portfolio candidate launched";
-  EXPECT_FALSE(probe->outlived_embedder);
+  ASSERT_TRUE(algo.launched_behind_gate()) << "no re-plan launched";
+
+  std::atomic<bool> stop_returned{false};
+  std::thread stopper([&] {
+    server.stop(/*drain=*/false);
+    stop_returned = true;
+  });
+  std::this_thread::sleep_for(200ms);
+  const bool returned_before_the_solve_could_run = stop_returned;
+  gate.open();
+  stopper.join();
+  EXPECT_FALSE(returned_before_the_solve_could_run)
+      << "stop() returned while the re-plan solve was still queued";
   EXPECT_GE(server.stats().decided, 1);
 }
 
