@@ -11,8 +11,6 @@
 #include <iostream>
 
 #include "core/scenario.hpp"
-#include "engine/engine.hpp"
-#include "engine/registry.hpp"
 
 int main() {
   using namespace olive;
@@ -32,13 +30,10 @@ int main() {
   std::cout << "  " << sc.online.size() << " live session requests, "
             << sc.plan.num_classes() << " planned classes\n\n";
 
-  // One engine per scenario; algorithms are resolved by name through the
-  // registry (plugins registered with OLIVE_REGISTER_ALGORITHM appear here
-  // automatically).
-  engine::Engine eng(sc.substrate, sc.apps,
-                     engine::EngineConfig{sc.config.sim, {}, {}});
+  // Algorithms are resolved by name; each run gets a fresh engine over the
+  // scenario's online trace.
   for (const std::string algo : {"OLIVE", "QuickG"}) {
-    const auto m = engine::EmbedderRegistry::instance().run(algo, eng, sc);
+    const auto m = core::run_algorithm(sc, algo);
     long planned = 0, borrowed = 0, greedy = 0;
     for (const auto& rec : m.records) {
       switch (rec.kind) {

@@ -11,8 +11,6 @@
 
 #include "core/embedder.hpp"
 #include "core/scenario.hpp"
-#include "engine/engine.hpp"
-#include "engine/registry.hpp"
 
 int main() {
   using namespace olive;
@@ -46,10 +44,8 @@ int main() {
             << (greedy ? "embedded (unexpected!)" : "infeasible, as expected")
             << "  -> QUICKG cannot run this scenario\n\n";
 
-  engine::Engine eng(sc.substrate, sc.apps,
-                     engine::EngineConfig{sc.config.sim, {}, {}});
   for (const std::string algo : {"OLIVE", "SlotOff", "FullG"}) {
-    const auto m = engine::EmbedderRegistry::instance().run(algo, eng, sc);
+    const auto m = core::run_algorithm(sc, algo);
     std::cout << algo << ": rejection rate " << 100 * m.rejection_rate()
               << "%, total cost " << m.total_cost() << "\n";
   }

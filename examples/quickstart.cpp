@@ -60,8 +60,8 @@ int main() {
             << " column-generation rounds)\n";
 
   // 5. Run OLIVE on the online portion and report.  The engine owns the
-  // slot loop (releases -> arrivals -> metrics); swap in any registered
-  // embedder, add observers, or configure `EngineConfig::replan` for
+  // slot loop (releases -> arrivals -> metrics); swap in any other
+  // OnlineEmbedder, add observers, or configure `EngineConfig::replan` for
   // mid-run re-planning.
   core::OliveEmbedder olive(substrate, apps, plan);
   engine::EngineConfig ecfg;

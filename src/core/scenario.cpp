@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "engine/engine.hpp"
-#include "engine/registry.hpp"
 #include "util/error.hpp"
 
 namespace olive::core {
@@ -114,17 +112,6 @@ Scenario build_scenario(const ScenarioConfig& config, int rep) {
   sc.plan = solve_plan_vne(sc.substrate, sc.apps, sc.aggregates, config.plan,
                            &sc.plan_info);
   return sc;
-}
-
-SimMetrics run_algorithm(const Scenario& sc, const std::string& algorithm) {
-  // Compatibility wrapper: the registry owns algorithm creation now (the
-  // built-ins register themselves in engine/algorithms.cpp; plugins via
-  // OLIVE_REGISTER_ALGORITHM).  Throws InvalidArgument for unknown names.
-  engine::EngineConfig ecfg{sc.config.sim, {}, {}};
-  ecfg.failures.trace = sc.failure_trace;
-  ecfg.failures.repair = sc.config.failure_repair;
-  engine::Engine eng(sc.substrate, sc.apps, std::move(ecfg));
-  return engine::EmbedderRegistry::instance().run(algorithm, eng, sc);
 }
 
 }  // namespace olive::core

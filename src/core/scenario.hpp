@@ -82,11 +82,12 @@ struct Scenario {
 /// different applications/trace draws, as in the paper's 30 executions).
 Scenario build_scenario(const ScenarioConfig& config, int rep = 0);
 
-/// Runs one algorithm on a built scenario by name, resolved through the
-/// engine::EmbedderRegistry — built-ins are "OLIVE" (plus the
+/// Runs one algorithm on a built scenario by name: "OLIVE" (plus the
 /// "OLIVE-NoBorrow"/"OLIVE-NoPreempt"/"OLIVE-PlanOnly" ablation variants),
-/// "QuickG", "FullG", "SlotOff"; plugins add more.  Construct an
-/// engine::Engine directly for observer hooks or mid-run re-planning.
+/// "QuickG", "FullG" or "SlotOff" — the name table in engine/algorithms.cpp,
+/// where this is defined.  Throws InvalidArgument for any other name.
+/// Construct the embedder and an engine::Engine directly for observer hooks
+/// or mid-run re-planning.
 SimMetrics run_algorithm(const Scenario& scenario, const std::string& algorithm);
 
 }  // namespace olive::core

@@ -1,13 +1,13 @@
 // The unified runtime: the discrete-time simulation the paper's §IV
 // experiments run on, for every algorithm.  run(algo, trace) and
 // run_stream(algo, stream) are the ON-VNE loop for per-request embedders
-// (OLIVE / QUICKG / FULLG / any plugin) — both hand every slot to
-// engine::SlotKernel (engine/kernel.hpp), the one place the slot order
-// lives; run_slotoff(trace, ...) is the SLOTOFF baseline's per-slot OFF-VNE
+// (OLIVE / QUICKG / FULLG) — both hand every slot to engine::SlotKernel
+// (engine/kernel.hpp), the one place the slot order lives;
+// run_slotoff(trace, ...) is the SLOTOFF baseline's per-slot OFF-VNE
 // re-solve loop.  Observers hook the loop without perturbing it; a
 // ReplanPolicy (engine/replan.hpp) makes the run re-plan mid-flight.  The
-// string-dispatch `core::run_algorithm` is a thin wrapper over this class
-// and the EmbedderRegistry (engine/registry.hpp).
+// by-name `core::run_algorithm` builds one of these per call from the name
+// table in engine/algorithms.cpp.
 //
 // Determinism: with the same config, trace, and algorithm, a run is
 // bit-identical at every `OLIVE_THREADS` value — re-plan solves are

@@ -48,9 +48,7 @@ ReplanPolicy::ReplanPolicy(const net::SubstrateNetwork& substrate,
     OLIVE_REQUIRE(config_.install_delay >= 1 &&
                       config_.install_delay < config_.period,
                   "replan install_delay must stay in [1, period)");
-    OLIVE_REQUIRE(config_.window >= 0, "replan window must be >= 0");
   }
-  window_ = config_.window > 0 ? config_.window : config_.period;
 }
 
 ReplanPolicy::~ReplanPolicy() {
@@ -87,7 +85,7 @@ void ReplanPolicy::launch(std::int64_t slot,
   // Keep every request still active when the window opens — clip_window
   // keeps those too, clipped to the window — and drop the rest: no later
   // launch can reach them, its window opens later still.
-  const std::int64_t keep_from = slot - window_;
+  const std::int64_t keep_from = slot - config_.period;
   std::erase_if(feed_, [keep_from](const workload::Request& r) {
     return static_cast<std::int64_t>(r.arrival) + r.duration <= keep_from;
   });
@@ -125,8 +123,7 @@ void ReplanPolicy::launch(std::int64_t slot,
         clipped, static_cast<int>(apps_.size()), substrate_.num_nodes(), acfg,
         rng);
     out.plan = core::solve_plan_vne(substrate_, apps_, aggregates, plan,
-                                    &out.event.info, &cache_,
-                                    config_.warm_start ? &warm_ : nullptr);
+                                    &out.event.info, &cache_, &warm_);
     out.event.classes = out.plan.num_classes();
     out.event.solve_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

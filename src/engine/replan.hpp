@@ -2,7 +2,7 @@
 // window boundaries for time-dependent expected demand).
 //
 // A ReplanPolicy fires at fixed slot boundaries (every `period` slots): it
-// re-aggregates the trailing `window` slots of observed demand with the same
+// re-aggregates the trailing `period` slots of observed demand with the same
 // bootstrapped-percentile estimator the offline plan uses, solves PLAN-VNE
 // for the result *asynchronously* on the shared ThreadPool (carrying the
 // column cache and the PlanWarmStart basis across consecutive re-plans, the
@@ -35,11 +35,9 @@ namespace olive::engine {
 struct ReplanConfig {
   /// Re-plan every `period` slots (launches at slots period, 2·period, …).
   /// 0 disables mid-run re-planning entirely.
+  /// Each launch re-aggregates the trailing `period` slots of demand, i.e.
+  /// exactly the demand since the previous launch.
   int period = 0;
-  /// Trailing demand window re-aggregated at each launch, in slots.
-  /// 0 selects `period` (each re-plan sees exactly the demand since the
-  /// previous launch).
-  int window = 0;
   /// Slots between a launch and its deterministic install: the new plan is
   /// hot-swapped at the *beginning* of slot `launch + install_delay`,
   /// regardless of how long the solve actually took.  Must stay in
@@ -48,12 +46,10 @@ struct ReplanConfig {
   /// Percentile estimator over the trailing window (same P̂α bootstrap as
   /// the offline aggregation; `horizon` is overwritten with the window).
   core::AggregationConfig aggregation;
-  /// PLAN-VNE solver settings for the re-plan solves.
+  /// PLAN-VNE solver settings for the re-plan solves.  The column cache
+  /// and the optimal-basis snapshot always carry across consecutive
+  /// re-plans.
   core::PlanVneConfig plan;
-  /// Carry the column cache and the optimal-basis snapshot across
-  /// consecutive re-plans (off forces every re-plan to a cold solve; the
-  /// solved plans are identical either way).
-  bool warm_start = true;
   /// Seed of the bootstrap streams (forked per re-plan sequence number).
   std::uint64_t seed = 1;
   /// >= 1: a failure burst — this many failure-hit embeddings since the
@@ -168,7 +164,6 @@ class ReplanPolicy {
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;
   ReplanConfig config_;
-  int window_ = 0;        ///< the demand window, slots
   workload::Trace feed_;  ///< observed arrivals, run slots, arrival order
   /// Carried across consecutive solves.  Only the in-flight solve touches
   /// them while one is pending (consecutive solves never overlap:

@@ -12,6 +12,9 @@ namespace olive::lp {
 namespace {
 constexpr double kPivotTol = 1e-9;
 constexpr int kDegenerateRunForBland = 40;
+/// Hard cap on pivots between refactorizations (both modes).  SparseLU
+/// usually refactorizes earlier, via the FactorOptions triggers.
+constexpr int kRefactorEvery = 128;
 }  // namespace
 
 const char* to_string(Status s) noexcept {
@@ -376,8 +379,8 @@ int Simplex::price_full_scan(const std::vector<double>& y,
                              const std::vector<double>& costs, bool bland,
                              int* direction, double* entering_rc) {
   const int n = static_cast<int>(cols_.size());
-  const bool keep_candidates = !bland && options_.partial_pricing &&
-                               n >= options_.partial_pricing_min_cols;
+  const bool keep_candidates =
+      !bland && n >= options_.partial_pricing_min_cols;
   scratch_eligible_.clear();
   int best = -1, best_dir = 0;
   // Weighted scores (d^2/w) can be legitimately below opt_tol for an
@@ -437,8 +440,7 @@ int Simplex::price_full_scan(const std::vector<double>& y,
 int Simplex::price(const std::vector<double>& y, const std::vector<double>& costs,
                    bool bland, int* direction, double* entering_rc) {
   const int n = static_cast<int>(cols_.size());
-  if (bland || !options_.partial_pricing ||
-      n < options_.partial_pricing_min_cols) {
+  if (bland || n < options_.partial_pricing_min_cols) {
     return price_full_scan(y, costs, bland, direction, entering_rc);
   }
 
@@ -725,7 +727,7 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
     }
 
     ++pivots_since_refactor;
-    if (!refreshed && (pivots_since_refactor >= options_.refactor_every ||
+    if (!refreshed && (pivots_since_refactor >= kRefactorEvery ||
                        (sparse() && factor_.needs_refactorization()))) {
       refactorize();
       refreshed = true;

@@ -87,18 +87,14 @@ struct SimplexOptions {
   double opt_tol = 1e-9;
   /// Basis representation (see header comment).
   BasisKind basis = BasisKind::SparseLU;
-  /// Hard cap on pivots between refactorizations (both modes).  SparseLU
-  /// usually refactorizes earlier, via the `factor` triggers.
-  int refactor_every = 128;
   /// Sparse-LU pivoting tolerances and eta-file refactorization triggers.
   FactorOptions factor;
-  /// Candidate-list partial pricing (full Dantzig scan only when the list
-  /// runs dry).  Identical optima either way; this is purely a speed knob.
-  bool partial_pricing = true;
-  /// How many columns a full scan keeps as candidates.
+  /// How many columns a full scan keeps as candidates for candidate-list
+  /// partial pricing (full scan only when the list runs dry).
   int candidate_list_size = 128;
   /// Below this many columns every iteration scans everything: the list
-  /// bookkeeping costs more than it saves on small LPs.
+  /// bookkeeping costs more than it saves on small LPs.  Identical optima
+  /// either way; std::numeric_limits<int>::max() forces the full scan.
   int partial_pricing_min_cols = 192;
   /// Entering-column selection rule (see PricingRule).  The PLAN-VNE solver
   /// switches large masters to SteepestEdge automatically

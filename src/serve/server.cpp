@@ -13,6 +13,14 @@ namespace {
 
 using core::SimMetrics;
 
+/// Nap length while the queue is empty (bounded so stop() is prompt).
+constexpr std::chrono::nanoseconds kIdleBackoff = std::chrono::microseconds(50);
+/// Live mode keeps only this many trailing slots of the offered/allocated
+/// series — a long-lived service must not grow per-slot state without
+/// bound.  run_simulated keeps the whole bounded run's series, exactly like
+/// run_stream.
+constexpr std::size_t kLiveSeriesSlots = 4096;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -87,7 +95,7 @@ void Server::start(core::OnlineEmbedder& algo, Clock& clock) {
   // than throw inside the serving thread and end the process.
   kernel_ = std::make_unique<engine::SlotKernel>(
       substrate_, apps_, engine_config(), algo, clock,
-      std::vector<engine::Observer*>{}, config_.series_window_slots);
+      std::vector<engine::Observer*>{}, kLiveSeriesSlots);
   stop_requested_.store(false, std::memory_order_seq_cst);
   drain_on_stop_.store(true, std::memory_order_release);
   submitted_.store(0, std::memory_order_relaxed);
@@ -199,7 +207,7 @@ void Server::serve_loop(Clock& clock) {
           std::max(st.queue_high_water, queue_->approx_size());
       fill_batch();
       if (batch.empty()) {
-        clock.sleep_until(std::min(deadline, clock.now() + config_.idle_backoff));
+        clock.sleep_until(std::min(deadline, clock.now() + kIdleBackoff));
         continue;
       }
       admit_batch();

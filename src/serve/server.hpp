@@ -58,13 +58,6 @@ struct ServerConfig {
   /// Max requests drained per batch between deadline checks; also the
   /// hint_arrivals speculation batch handed to the embedder.
   std::size_t max_batch = 1024;
-  /// Nap length while the queue is empty (bounded so stop() is prompt).
-  std::chrono::nanoseconds idle_backoff = std::chrono::microseconds(50);
-  /// Live mode keeps only this many trailing slots of the offered/allocated
-  /// series (0 disables series collection entirely) — a long-lived service
-  /// must not grow per-slot state without bound.  Ignored by run_simulated,
-  /// whose series span the whole bounded run, exactly like run_stream's.
-  std::size_t series_window_slots = 4096;
 };
 
 /// Long-lived serving facade over one OnlineEmbedder.  The embedder and the

@@ -125,11 +125,18 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& body,
     enqueue([state, this] { state->run_indices(this); });
   state->run_indices(this);  // the calling thread participates
 
-  std::unique_lock lk(state->mutex);
-  state->done_cv.wait(lk, [&] {
-    return state->completed.load(std::memory_order_acquire) == n;
-  });
-  if (state->error) std::rethrow_exception(state->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock lk(state->mutex);
+    state->done_cv.wait(lk, [&] {
+      return state->completed.load(std::memory_order_acquire) == n;
+    });
+    // Take sole ownership of the exception: queued helper tasks still hold
+    // `state` and may drop the last reference to it on a worker while the
+    // caller is handling what it rethrows.
+    error = std::move(state->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::global() {

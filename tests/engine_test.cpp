@@ -1,5 +1,5 @@
-// The engine's contracts: the EmbedderRegistry resolves the built-ins (and
-// one-file plugins) by name, observers see every slot and outcome without
+// The engine's contracts: core::run_algorithm resolves every built-in by
+// name and refuses unknown ones, observers see every slot and outcome without
 // perturbing the run, and on the drifting-utilization scenario the
 // asynchronous ReplanPolicy beats the static plan.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
 #include "engine/replan.hpp"
-#include "engine/registry.hpp"
 #include "util/error.hpp"
 
 namespace olive::engine {
@@ -60,37 +59,35 @@ void expect_metrics_identical(const core::SimMetrics& a,
   EXPECT_EQ(a.replans, b.replans);
 }
 
-TEST(Registry, KnowsTheBuiltins) {
-  auto& registry = EmbedderRegistry::instance();
-  for (const std::string name :
-       {"OLIVE", "OLIVE-NoBorrow", "OLIVE-NoPreempt", "OLIVE-PlanOnly",
-        "QuickG", "FullG", "SlotOff"}) {
-    EXPECT_TRUE(registry.contains(name)) << name;
+TEST(RunAlgorithm, ResolvesEveryBuiltinAndRejectsUnknownNames) {
+  // Ten online slots at a low arrival rate: FullG's per-request exact
+  // embedding is slow, and this test only checks dispatch.
+  core::ScenarioConfig cfg = small_config();
+  cfg.trace.horizon = 310;
+  cfg.trace.lambda_per_node = 1.0;
+  cfg.sim.measure_from = 0;
+  cfg.sim.measure_to = 10;
+  const core::Scenario sc = core::build_scenario(cfg);
+  const std::vector<std::string> builtins = {
+      "OLIVE",  "OLIVE-NoBorrow", "OLIVE-NoPreempt", "OLIVE-PlanOnly",
+      "QuickG", "FullG",          "SlotOff"};
+  for (const std::string& name : builtins) {
+    const core::SimMetrics m = core::run_algorithm(sc, name);
+    EXPECT_EQ(m.algorithm, name);
+    EXPECT_GT(m.offered, 0) << name;
   }
-  EXPECT_FALSE(registry.contains("nope"));
-  const auto names = registry.names();
-  EXPECT_GE(names.size(), 7u);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  try {
+    core::run_algorithm(sc, "nope");
+    FAIL() << "expected InvalidArgument for an unknown name";
+  } catch (const InvalidArgument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("nope"), std::string::npos) << message;
+    for (const std::string& name : builtins)
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+  }
 }
 
-// A one-file plugin: registering an embedder factory at namespace scope
-// makes the name reachable from run_algorithm and every name-dispatching
-// bench.
-OLIVE_REGISTER_EMBEDDER("EngineTest-QuickG", [](const core::Scenario& sc) {
-  return std::make_unique<core::OliveEmbedder>(
-      sc.substrate, sc.apps, core::Plan::empty(), "EngineTest-QuickG");
-});
-
-TEST(Registry, PluginRegistrationReachesRunAlgorithm) {
-  const core::Scenario sc = core::build_scenario(small_config());
-  const core::SimMetrics plugin =
-      core::run_algorithm(sc, "EngineTest-QuickG");
-  core::SimMetrics reference = core::run_algorithm(sc, "QuickG");
-  reference.algorithm = "EngineTest-QuickG";  // names differ by design
-  expect_metrics_identical(reference, plugin);
-}
-
-TEST(Registry, RunAlgorithmMatchesDirectEngineUse) {
+TEST(RunAlgorithm, MatchesDirectEngineUse) {
   const core::Scenario sc = core::build_scenario(small_config());
   const core::SimMetrics by_name = core::run_algorithm(sc, "OLIVE");
   core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");

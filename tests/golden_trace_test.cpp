@@ -12,6 +12,8 @@
 // discrete sequences (counts, per-slot allocations) are exact.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
 #include "topo/topologies.hpp"
@@ -158,8 +160,9 @@ TEST(GoldenTrace, PricingModesReproduceTheSameWindow) {
   for (const bool partial : {false, true}) {
     const GoldenScenario g = golden_scenario();
     SlotOffRun so = golden_config();
-    so.plan.lp.partial_pricing = partial;
-    so.plan.lp.partial_pricing_min_cols = 0;  // engage the list everywhere
+    // 0 engages the candidate list everywhere; INT_MAX never does.
+    so.plan.lp.partial_pricing_min_cols =
+        partial ? 0 : std::numeric_limits<int>::max();
     so.plan.lp.candidate_list_size = 8;
     const SimMetrics m = run_slotoff(g, so);
     expect_golden_outcomes(m);

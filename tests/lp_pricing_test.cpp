@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
@@ -42,13 +43,12 @@ Model random_lp(Rng& rng, int cols, int rows, bool with_eq_rows) {
 
 SimplexOptions full_pricing() {
   SimplexOptions o;
-  o.partial_pricing = false;
+  o.partial_pricing_min_cols = std::numeric_limits<int>::max();  // never list
   return o;
 }
 
 SimplexOptions partial_pricing() {
   SimplexOptions o;
-  o.partial_pricing = true;
   o.partial_pricing_min_cols = 0;  // engage the candidate list everywhere
   o.candidate_list_size = 16;
   return o;

@@ -6,6 +6,7 @@
 // cases behave like plain loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -81,6 +82,25 @@ TEST(ThreadPool, ExceptionPropagatesSmallestFailingIndex) {
     // 3, 13, 23, ... all throw; the pool must pick the smallest index so
     // which exception surfaces does not depend on scheduling.
     EXPECT_STREQ(e.what(), "boom 3");
+  }
+}
+
+// The rethrown exception must belong to the caller alone: helper tasks
+// still queued on the global pool keep the loop state alive after
+// parallel_for returns, and reading what() must not race with their
+// teardown (the ThreadSanitizer job runs this under OLIVE_THREADS=4).
+TEST(ThreadPool, ExceptionSurvivesHelperTeardown) {
+  ThreadPool& pool = ThreadPool::global();
+  pool.ensure_workers(std::max(2, default_thread_count()));
+  for (int rep = 0; rep < 100; ++rep) {
+    try {
+      pool.parallel_for(16, [&](int i) {
+        if (i == 0) throw std::runtime_error("boom " + std::to_string(rep));
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "boom " + std::to_string(rep));
+    }
   }
 }
 
