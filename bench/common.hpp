@@ -496,12 +496,10 @@ struct PerfCase {
   /// flat-memory contract; -1 elsewhere.
   double rss_mb = -1;
   /// v6 (streamed OLIVE cases only; -1 elsewhere): admission fast-path
-  /// counters folded out of SimMetrics — greedy-memo hits, grow-epoch
-  /// invalidations, and speculative commits that failed validation.
-  /// Diagnostics outside the bit-identity contract (docs/olive-fastpath.md).
+  /// counters folded out of SimMetrics — greedy-memo hits and grow-epoch
+  /// invalidations (docs/olive-fastpath.md).
   long cache_hits = -1;
   long cache_invalidations = -1;
-  long spec_misses = -1;
   /// v7 (open-loop serving cases only; -1 elsewhere): admission-latency
   /// percentiles from the serve layer's log2 histogram (bucket upper
   /// bounds, docs/serving.md), submissions bounced by queue backpressure,
@@ -558,7 +556,6 @@ inline void write_perf_json(const std::string& path, const BenchScale& scale,
     if (c.cache_hits >= 0) out << ", \"cache_hits\": " << c.cache_hits;
     if (c.cache_invalidations >= 0)
       out << ", \"cache_invalidations\": " << c.cache_invalidations;
-    if (c.spec_misses >= 0) out << ", \"spec_misses\": " << c.spec_misses;
     if (c.p50_us >= 0) out << ", \"p50_us\": " << json_num(c.p50_us);
     if (c.p99_us >= 0) out << ", \"p99_us\": " << json_num(c.p99_us);
     if (c.p999_us >= 0) out << ", \"p999_us\": " << json_num(c.p999_us);

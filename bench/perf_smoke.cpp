@@ -74,8 +74,7 @@ void print_case(const olive::bench::PerfCase& c) {
             << olive::bench::json_num(c.objective) << "," << c.replans << ","
             << c.requests << "," << olive::bench::json_num(c.requests_per_sec)
             << "," << olive::bench::json_num(c.rss_mb) << "," << c.cache_hits
-            << "," << c.cache_invalidations << "," << c.spec_misses
-            << std::endl;
+            << "," << c.cache_invalidations << std::endl;
 }
 
 void accumulate(olive::bench::PerfCase& c, const olive::core::PlanSolveInfo& info,
@@ -132,8 +131,7 @@ int main(int argc, char** argv) {
   std::cout << "case,topology,basis,reps,seconds_total,simplex_iterations,"
                "pricing_rounds,columns_generated,refactorizations,"
                "eta_length_max,warm_start_hits,objective,replans,requests,"
-               "requests_per_sec,rss_mb,cache_hits,cache_invalidations,"
-               "spec_misses\n";
+               "requests_per_sec,rss_mb,cache_hits,cache_invalidations\n";
 
   for (const std::string topo : {"Iris", "CittaStudi"}) {
     if (!any_selected({"plan_solve_cold", "plan_solve_warm", "slotoff_window"}))
@@ -422,15 +420,13 @@ int main(int argc, char** argv) {
       st.rejection_rate = m.rejection_rate();
       st.cache_hits = m.fastpath_greedy_hits;
       st.cache_invalidations = m.fastpath_greedy_invalidations;
-      st.spec_misses = m.fastpath_spec_misses;
       cases.push_back(st);
       print_case(st);
       std::cout << "# scale_xl streamed: " << st.requests << " requests, "
                 << bench::json_num(st.requests_per_sec)
                 << " requests/sec, peak RSS " << bench::json_num(st.rss_mb)
                 << " MB, greedy-memo hits " << st.cache_hits << " ("
-                << st.cache_invalidations << " invalidations, "
-                << st.spec_misses << " spec misses)\n";
+                << st.cache_invalidations << " invalidations)\n";
     }
   }
 

@@ -26,18 +26,20 @@ enum class OutcomeKind {
 const char* to_string(OutcomeKind k) noexcept;
 
 /// Admission fast-path diagnostics (docs/olive-fastpath.md).  Counters only:
-/// none of these may influence decisions.  The speculation counters depend on
-/// the thread count (speculation is disabled at width 1), so they are
-/// explicitly *outside* the bit-identity determinism contract — decisions and
-/// every other SimMetrics field stay bit-identical at any OLIVE_THREADS.
+/// none of these may influence decisions.  Admission is sequential, so they
+/// are a pure function of the request sequence and sit *inside* the
+/// bit-identity determinism contract: the same at any OLIVE_THREADS.
+/// Field order matters — perfbench aggregate-initialises this by position.
 struct FastPathStats {
   long greedy_memo_hits = 0;    ///< greedy embeds answered from the memo
   long greedy_memo_misses = 0;  ///< greedy embeds that had to recompute
   long greedy_memo_invalidations = 0;  ///< memos dropped on a stale epoch
   long column_skips = 0;  ///< plan stages skipped via the class residual max
-  long spec_commits = 0;  ///< speculative decisions committed as-is
-  long spec_misses = 0;   ///< speculative decisions re-derived serially
-  long spec_serial = 0;   ///< arrivals speculation declined (preempt path)
+  /// Always 0: speculative batched admission was removed.  Kept for
+  /// perfbench/ until a benchmark change drops them.
+  long spec_commits = 0;
+  long spec_misses = 0;
+  long spec_serial = 0;
   long preempt_calls = 0;    ///< preempt-stage attempts (one per column tried)
   long preempt_scanned = 0;  ///< reverse-index entries those attempts gathered
   long preempt_popped = 0;   ///< distinct candidates they examined in order
@@ -71,10 +73,10 @@ class OnlineEmbedder {
   virtual EmbedOutcome embed(const workload::Request& r) = 0;
 
   /// Optional batched-admission hint: the engine announces one slot's
-  /// arrivals (in order) before calling embed() on each of them, so the
-  /// embedder may precompute candidate decisions in parallel against its
-  /// current — frozen — state.  Purely advisory: embed() must return exactly
-  /// what a hint-free serial run would, for every request.  Default: no-op.
+  /// arrivals (in order) before calling embed() on each of them.  Purely
+  /// advisory: embed() must return exactly what a hint-free run would, for
+  /// every request.  No built-in embedder uses it (default: no-op); it
+  /// stays as an observation point for timing decorators.
   virtual void hint_arrivals(const workload::Request* batch,
                              std::size_t count) {
     (void)batch;

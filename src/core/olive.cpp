@@ -10,7 +10,6 @@
 #include "net/embedding.hpp"
 #include "net/paths.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace olive::core {
 
@@ -52,8 +51,6 @@ bool OliveEmbedder::install_plan(Plan plan) {
     a.cls = a.column = -1;
     if (indexing()) index_add(id, a);
   }
-  // The speculative batch (if any) was computed against the old plan.
-  spec_valid_ = false;
   return true;
 }
 
@@ -67,9 +64,6 @@ void OliveEmbedder::reset() {
   rebuild_class_max();
   elem_actives_.assign(substrate_.element_count(), {});
   greedy_memo_.clear();
-  spec_.clear();
-  spec_cursor_ = 0;
-  spec_valid_ = false;
   stats_ = {};
 }
 
@@ -283,8 +277,7 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
   if (scan != Scan::Covered) return std::nullopt;
 
   // Commit: release the victims' resources and drop them.  release() bumps
-  // the grow-epoch, which invalidates the greedy memos and any in-flight
-  // speculative batch.
+  // the grow-epoch, which invalidates the greedy memos.
   for (const workload::RequestId vid : victims) {
     Active& victim = active_.at(vid);
     load_.release(victim.usage, victim.demand);
@@ -294,198 +287,11 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
   return victims;
 }
 
-void OliveEmbedder::hint_arrivals(const workload::Request* batch,
-                                  std::size_t count) {
-  spec_valid_ = false;
-  if (!options_.enable_fastpath || batch == nullptr || count < 2) return;
-  const int width =
-      options_.spec_threads > 0 ? options_.spec_threads : default_thread_count();
-  if (width <= 1) return;
-  spec_.assign(count, SpecDecision{});
-  ThreadPool& pool = ThreadPool::global();
-  pool.ensure_workers(width - 1);
-  // Read-only against the frozen state: speculate() never touches load_,
-  // plan_used_, active_, the memo, or the stats — each task writes only its
-  // own pre-sized slot, so the batch is deterministic at any width.
-  pool.parallel_for(
-      static_cast<int>(count),
-      [&](int i) { speculate(batch[i], spec_[i]); }, width);
-  spec_cursor_ = 0;
-  spec_epoch_ = load_.grow_epoch();
-  spec_valid_ = true;
-}
-
-void OliveEmbedder::speculate(const workload::Request& r,
-                              SpecDecision& out) const {
-  using Kind = SpecDecision::Kind;
-  out.id = r.id;
-  if (r.app < 0 || r.app >= static_cast<int>(apps_.size()) ||
-      active_.contains(r.id)) {
-    out.kind = Kind::Serial;  // let embed()'s own REQUIREs fire
-    return;
-  }
-  const int cls = plan_.class_index(r.app, r.ingress);
-  if (cls >= 0) {
-    const PlanClass& pc = plan_.cls(cls);
-    const double cmax = class_max_[cls];
-    if (cmax >= r.demand - 1e-9) {
-      for (std::size_t k = 0; k < pc.columns.size(); ++k) {
-        if (plan_residual(cls, static_cast<int>(k)) < r.demand - 1e-9)
-          continue;
-        if (load_.fits(pc.columns[k].usage, r.demand)) {
-          out.kind = Kind::Planned;
-          out.cls = cls;
-          out.column = static_cast<int>(k);
-          return;
-        }
-      }
-      if (options_.enable_preempt) {
-        // The preempt stage would run (some column holds plan residual for
-        // the full demand) — it mutates state, so it cannot be speculated.
-        out.kind = Kind::Serial;
-        return;
-      }
-    }
-    if (options_.enable_borrow && cmax > 1e-9) {
-      for (std::size_t k = 0; k < pc.columns.size(); ++k) {
-        if (plan_residual(cls, static_cast<int>(k)) <= 1e-9) continue;
-        if (load_.fits(pc.columns[k].usage, r.demand)) {
-          out.kind = Kind::Borrowed;
-          out.cls = cls;
-          out.column = static_cast<int>(k);
-          return;
-        }
-      }
-    }
-  }
-  if (options_.enable_greedy) {
-    // Read-only memo consult (no counter updates from worker threads).
-    const auto it = greedy_memo_.find(class_key(r.app, r.ingress));
-    if (it != greedy_memo_.end()) {
-      const GreedyMemo& m = it->second;
-      if (m.epoch == load_.grow_epoch() && r.demand >= m.demand) {
-        if (!m.feasible) {
-          out.kind = Kind::Reject;
-          return;
-        }
-        bool ok = true;
-        for (const auto& [elem, amt] : m.usage) {
-          if (load_.residual(elem) < amt * r.demand - 1e-9) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          out.usage = m.usage;
-          out.embedding = m.embedding;
-          out.unit_cost = m.unit_cost;
-          out.kind = Kind::Greedy;
-          return;
-        }
-      }
-    }
-    if (auto emb = greedy_collocated_embedding(substrate_,
-                                               apps_[r.app].topology, r.ingress,
-                                               r.demand, load_, link_weights_)) {
-      out.usage = net::unit_usage(substrate_, apps_[r.app].topology, *emb);
-      out.unit_cost = net::unit_cost(substrate_, apps_[r.app].topology, *emb);
-      out.embedding = std::move(*emb);
-      out.kind = Kind::Greedy;
-      return;
-    }
-  }
-  out.kind = Kind::Reject;
-}
-
-OliveEmbedder::SpecDecision* OliveEmbedder::next_spec(
-    const workload::Request& r) {
-  if (!spec_valid_) return nullptr;
-  if (spec_epoch_ != load_.grow_epoch() || spec_cursor_ >= spec_.size()) {
-    spec_valid_ = false;  // something grew a residual — the frozen state lied
-    return nullptr;
-  }
-  SpecDecision& d = spec_[spec_cursor_];
-  if (d.id != r.id || d.kind == SpecDecision::Kind::Unset) {
-    spec_valid_ = false;  // out-of-order embed — drop the whole batch
-    return nullptr;
-  }
-  ++spec_cursor_;
-  return &d;
-}
-
 EmbedOutcome OliveEmbedder::embed(const workload::Request& r) {
   OLIVE_REQUIRE(r.app >= 0 && r.app < static_cast<int>(apps_.size()),
                 "request app out of range");
   OLIVE_REQUIRE(!active_.contains(r.id), "duplicate request id");
 
-  // Speculation commit: validate the precomputed decision against the live
-  // state.  Plan residuals and substrate residuals only shrink within a
-  // grow-epoch (next_spec checked it), so a stage that failed at hint time
-  // still fails now — only the *chosen* column / embedding needs rechecking,
-  // and a rejection needs none (docs/olive-fastpath.md).
-  if (SpecDecision* d = next_spec(r)) {
-    using Kind = SpecDecision::Kind;
-    switch (d->kind) {
-      case Kind::Serial:
-        ++stats_.spec_serial;
-        break;
-      case Kind::Reject:
-        ++stats_.spec_commits;
-        return EmbedOutcome{};
-      case Kind::Planned: {
-        const PlanColumn& col = plan_.cls(d->cls).columns[d->column];
-        if (plan_residual(d->cls, d->column) >= r.demand - 1e-9 &&
-            load_.fits(col.usage, r.demand)) {
-          ++stats_.spec_commits;
-          return allocate(r, col.embedding, OutcomeKind::Planned, d->cls,
-                          d->column, {}, col.usage, col.unit_cost);
-        }
-        ++stats_.spec_misses;
-        break;
-      }
-      case Kind::Borrowed: {
-        const PlanColumn& col = plan_.cls(d->cls).columns[d->column];
-        if (plan_residual(d->cls, d->column) > 1e-9 &&
-            load_.fits(col.usage, r.demand)) {
-          ++stats_.spec_commits;
-          return allocate(r, col.embedding, OutcomeKind::Borrowed, d->cls,
-                          d->column, {}, col.usage, col.unit_cost);
-        }
-        ++stats_.spec_misses;
-        break;
-      }
-      case Kind::Greedy: {
-        bool ok = true;
-        for (const auto& [elem, amt] : d->usage) {
-          if (load_.residual(elem) < amt * r.demand - 1e-9) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          ++stats_.spec_commits;
-          // Refresh the memo for later same-class arrivals of this slot.
-          GreedyMemo& m = greedy_memo_[class_key(r.app, r.ingress)];
-          m.epoch = load_.grow_epoch();
-          m.demand = r.demand;
-          m.feasible = true;
-          m.usage = d->usage;
-          m.embedding = d->embedding;
-          m.unit_cost = d->unit_cost;
-          return allocate(r, std::move(d->embedding), OutcomeKind::Greedy, -1,
-                          -1, {}, std::move(d->usage), d->unit_cost);
-        }
-        ++stats_.spec_misses;
-        break;
-      }
-      case Kind::Unset:
-        break;  // unreachable: next_spec filters Unset
-    }
-  }
-  return embed_serial(r);
-}
-
-EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
   const int cls = plan_.class_index(r.app, r.ingress);
   const bool fast = options_.enable_fastpath;
 
@@ -606,9 +412,8 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
 }
 
 bool OliveEmbedder::set_element_capacity(int element, double capacity) {
-  // A raise bumps the grow-epoch (invalidating memos and speculation); a
-  // drop only shrinks residuals, which every cached decision revalidates
-  // against anyway.
+  // A raise bumps the grow-epoch (invalidating the greedy memos); a drop
+  // only shrinks residuals, which every memo hit revalidates against anyway.
   load_.set_capacity(element, capacity);
   return true;
 }

@@ -23,12 +23,11 @@
 //     by the victim order, replaces the full active-set scan and sort
 //     inside preempt() with a filtered gather and lazy heap selection;
 //   * GREEDYEMBED results are memoized per class and revalidated against
-//     the LoadTracker grow-epoch plus an element-wise residual check;
-//   * hint_arrivals() speculatively evaluates a whole slot's arrivals in
-//     parallel against the frozen state, and embed() commits each decision
-//     after a monotonicity-based validation (recomputing on a miss).
+//     the LoadTracker grow-epoch plus an element-wise residual check.
 // Every shortcut preserves the exact decision (and embedding bytes) the
-// specification path would produce, at any thread count.
+// specification path would produce.  Admission is strictly sequential and
+// starts no threads, so every decision and FastPathStats counter is the
+// same at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +46,11 @@ struct OliveOptions {
   bool enable_borrow = true;   ///< partial plan fit (Alg. 2 line 27)
   bool enable_preempt = true;  ///< preempt borrowers for planned demand
   bool enable_greedy = true;   ///< GREEDYEMBED fallback (line 11)
-  /// Admission fast path (cache + speculation, docs/olive-fastpath.md).
-  /// Off = the literal specification path; decisions are identical either
-  /// way (the fuzz suite asserts it), so this is a perf toggle, not an
-  /// ablation mechanism.
+  /// Admission fast path (memo, class max, preempt index;
+  /// docs/olive-fastpath.md).  Off = the literal specification path;
+  /// decisions are identical either way (the fuzz suite asserts it), so
+  /// this is a perf toggle, not an ablation mechanism.
   bool enable_fastpath = true;
-  /// Speculation width for hint_arrivals: 0 = default_thread_count()
-  /// (OLIVE_THREADS), 1 = speculation disabled, >1 = that many threads.
-  int spec_threads = 0;
 };
 
 class OliveEmbedder final : public OnlineEmbedder {
@@ -75,8 +71,6 @@ class OliveEmbedder final : public OnlineEmbedder {
   std::string name() const override { return name_; }
   void reset() override;
   EmbedOutcome embed(const workload::Request& r) override;
-  void hint_arrivals(const workload::Request* batch,
-                     std::size_t count) override;
   FastPathStats fastpath_stats() const override { return stats_; }
   void depart(const workload::Request& r) override;
   const LoadTracker& load() const override { return load_; }
@@ -147,33 +141,10 @@ class OliveEmbedder final : public OnlineEmbedder {
     double unit_cost = 0;
   };
 
-  /// One speculative decision produced by hint_arrivals for one arrival.
-  struct SpecDecision {
-    enum class Kind : std::uint8_t {
-      Unset,     ///< speculation did not run / produced nothing
-      Serial,    ///< declined (preempt stage live) — derive serially
-      Reject,
-      Planned,   ///< plan column `column` of class `cls`, full fit
-      Borrowed,  ///< plan column `column` of class `cls`, partial fit
-      Greedy,    ///< `embedding`/`usage`/`unit_cost` hold the result
-    };
-    Kind kind = Kind::Unset;
-    workload::RequestId id = -1;
-    int cls = -1, column = -1;
-    Usage usage;
-    net::Embedding embedding;
-    double unit_cost = 0;
-  };
-
   EmbedOutcome allocate(const workload::Request& r, net::Embedding e,
                         OutcomeKind kind, int cls, int column,
                         std::vector<workload::RequestId> preempted,
                         Usage usage, double unit_cost);
-
-  /// The specification decision sequence (optionally consulting the greedy
-  /// memo / class-max shortcuts) — everything of embed() except the
-  /// speculation commit.
-  EmbedOutcome embed_serial(const workload::Request& r);
 
   /// Frees non-planned allocations overlapping the deficient elements until
   /// `usage`*demand fits, newest victims first.  Returns the preempted ids,
@@ -181,15 +152,6 @@ class OliveEmbedder final : public OnlineEmbedder {
   /// allocation would not make room.
   std::optional<std::vector<workload::RequestId>> preempt(const Usage& usage,
                                                           double demand);
-
-  /// Read-only candidate evaluation for one arrival against the current
-  /// (frozen) state; runs concurrently from hint_arrivals.
-  void speculate(const workload::Request& r, SpecDecision& out) const;
-
-  /// Pops the next speculative decision if it matches r and the speculation
-  /// batch is still valid; nullptr otherwise.  The returned slot may be
-  /// moved from (it is consumed either way).
-  SpecDecision* next_spec(const workload::Request& r);
 
   // --- fast-path index maintenance -------------------------------------
   bool indexing() const noexcept { return options_.enable_fastpath; }
@@ -219,11 +181,6 @@ class OliveEmbedder final : public OnlineEmbedder {
   /// swap-remove via Active::elem_pos.
   std::vector<std::vector<IndexEntry>> elem_actives_;
   std::unordered_map<long long, GreedyMemo> greedy_memo_;
-
-  std::vector<SpecDecision> spec_;
-  std::size_t spec_cursor_ = 0;
-  std::uint64_t spec_epoch_ = 0;
-  bool spec_valid_ = false;
 
   FastPathStats stats_;
 

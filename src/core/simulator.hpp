@@ -128,9 +128,11 @@ struct SimMetrics {
   long repairs_batched = 0;
 
   /// Admission fast-path counters (FastPathStats folded in at run end).
-  /// Diagnostics only: like algo_seconds, these are *outside* the
-  /// bit-identity contract — the spec_* counters depend on the thread count
-  /// and the memo counters on whether speculation bypassed the serial path.
+  /// Diagnostics that never influence decisions, but deterministic: they
+  /// are inside the bit-identity contract across thread counts (they do
+  /// differ between fast path on and off, by design).  The fastpath_spec_*
+  /// fields are always 0; they stay for perfbench/ until a benchmark change
+  /// drops them.
   long fastpath_greedy_hits = 0;
   long fastpath_greedy_misses = 0;
   long fastpath_greedy_invalidations = 0;

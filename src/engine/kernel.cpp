@@ -26,9 +26,6 @@ void fold_fastpath(core::SimMetrics& metrics,
   metrics.fastpath_greedy_misses = fp.greedy_memo_misses;
   metrics.fastpath_greedy_invalidations = fp.greedy_memo_invalidations;
   metrics.fastpath_column_skips = fp.column_skips;
-  metrics.fastpath_spec_commits = fp.spec_commits;
-  metrics.fastpath_spec_misses = fp.spec_misses;
-  metrics.fastpath_spec_serial = fp.spec_serial;
   metrics.fastpath_preempt_calls = fp.preempt_calls;
   metrics.fastpath_preempt_scanned = fp.preempt_scanned;
   metrics.fastpath_preempt_popped = fp.preempt_popped;
@@ -391,8 +388,8 @@ void SlotKernel::admit(const workload::Request* batch, std::size_t n,
   if (n == 0) return;
   // The re-plan demand feed costs nothing while re-planning is off.
   if (replan_.enabled()) replan_.observe(batch, n, t_);
-  // The whole batch is announced first so the embedder may speculate on it
-  // in parallel; embed() itself stays sequential and authoritative.
+  // The whole batch is announced first (an advisory hook; the built-in
+  // embedders ignore it), then embed() decides each request in order.
   const auto hint_start = clock_.now();
   algo_.hint_arrivals(batch, n);
   auto last = clock_.now();

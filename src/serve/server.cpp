@@ -15,6 +15,8 @@ using core::SimMetrics;
 
 /// Nap length while the queue is empty (bounded so stop() is prompt).
 constexpr std::chrono::nanoseconds kIdleBackoff = std::chrono::microseconds(50);
+/// Max requests drained per batch between deadline checks.
+constexpr std::size_t kMaxBatch = 1024;
 /// Live mode keeps only this many trailing slots of the offered/allocated
 /// series — a long-lived service must not grow per-slot state without
 /// bound.  run_simulated keeps the whole bounded run's series, exactly like
@@ -48,7 +50,6 @@ Server::Server(const net::SubstrateNetwork& substrate,
     : substrate_(substrate), apps_(apps), config_(std::move(config)) {
   OLIVE_REQUIRE(config_.slot_duration.count() > 0,
                 "slot_duration must be positive");
-  OLIVE_REQUIRE(config_.max_batch > 0, "max_batch must be positive");
   queue_ = std::make_unique<MpscQueue<Queued>>(config_.queue_capacity);
 }
 
@@ -148,9 +149,9 @@ void Server::serve_loop(Clock& clock) {
 
   std::vector<workload::Request> batch;
   std::vector<Clock::time_point> enq, decided;
-  batch.reserve(config_.max_batch);
-  enq.reserve(config_.max_batch);
-  decided.reserve(config_.max_batch);
+  batch.reserve(kMaxBatch);
+  enq.reserve(kMaxBatch);
+  decided.reserve(kMaxBatch);
   workload::RequestId next_id = 0;
 
   const auto t0 = clock.now();
@@ -160,14 +161,14 @@ void Server::serve_loop(Clock& clock) {
   constexpr std::int64_t kMaxIntSlot = std::numeric_limits<int>::max();
   bool stopping = false;
 
-  // Pops up to max_batch queued requests into batch/enq, stamping ids and
+  // Pops up to kMaxBatch queued requests into batch/enq, stamping ids and
   // the current slot (Request::arrival is an int and saturates at INT_MAX;
   // the kernel's own bookkeeping runs on the 64-bit slot).
   const auto fill_batch = [&] {
     batch.clear();
     enq.clear();
     Queued q;
-    while (batch.size() < config_.max_batch && queue_->try_pop(q)) {
+    while (batch.size() < kMaxBatch && queue_->try_pop(q)) {
       q.req.id = next_id++;
       q.req.arrival = static_cast<int>(std::min(t, kMaxIntSlot));
       batch.push_back(q.req);

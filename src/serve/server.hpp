@@ -55,16 +55,12 @@ struct ServerConfig {
   std::size_t queue_capacity = std::size_t{1} << 14;
   /// Wall length of one engine slot in live mode (and the simulated tick).
   std::chrono::nanoseconds slot_duration = std::chrono::milliseconds(10);
-  /// Max requests drained per batch between deadline checks; also the
-  /// hint_arrivals speculation batch handed to the embedder.
-  std::size_t max_batch = 1024;
 };
 
 /// Long-lived serving facade over one OnlineEmbedder.  The embedder and the
 /// clock are borrowed until stop() returns, which also joins any re-plan
 /// solve still in flight; every embedder call happens on the single serving
-/// thread (the embedder's own speculation pool is its business).  submit()
-/// is safe from any number of threads.
+/// thread.  submit() is safe from any number of threads.
 class Server {
  public:
   /// submit() outcome, returned to the producer immediately (never blocks).

@@ -31,11 +31,10 @@ class TraceStream {
   /// Replaces `out` with the next slot's arrivals (possibly empty) and
   /// returns that slot's index, or -1 when the stream is exhausted.
   ///
-  /// The filled buffer doubles as the slot's arrival-hint batch: the
-  /// Engine passes it verbatim to OnlineEmbedder::hint_arrivals before
-  /// admitting the slot (docs/olive-fastpath.md), so all of a slot's
-  /// arrivals must be yielded together — a stream must never split one
-  /// slot across two next_slot() calls.
+  /// The filled buffer doubles as the slot's arrival batch: the Engine
+  /// passes it verbatim to OnlineEmbedder::hint_arrivals before admitting
+  /// the slot, so all of a slot's arrivals must be yielded together — a
+  /// stream must never split one slot across two next_slot() calls.
   virtual int next_slot(std::vector<Request>& out) = 0;
 
   /// Exclusive upper bound on slot indices (the stream's horizon).

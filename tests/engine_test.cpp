@@ -16,6 +16,8 @@
 #include "engine/replan.hpp"
 #include "util/error.hpp"
 
+#include "metrics_equality.hpp"
+
 namespace olive::engine {
 namespace {
 
@@ -29,34 +31,6 @@ core::ScenarioConfig small_config(std::uint64_t seed = 7) {
   cfg.sim.measure_from = 10;
   cfg.sim.measure_to = 60;
   return cfg;
-}
-
-/// Bitwise equality over every deterministic SimMetrics field (wall-clock
-/// fields are excluded: algo_seconds/replan_seconds measure elapsed time).
-void expect_metrics_identical(const core::SimMetrics& a,
-                              const core::SimMetrics& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.preempted, b.preempted);
-  EXPECT_EQ(a.offered_demand, b.offered_demand);
-  EXPECT_EQ(a.rejected_demand, b.rejected_demand);
-  EXPECT_EQ(a.resource_cost, b.resource_cost);
-  EXPECT_EQ(a.rejection_cost, b.rejection_cost);
-  EXPECT_EQ(a.offered_series, b.offered_series);
-  EXPECT_EQ(a.allocated_series, b.allocated_series);
-  EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app);
-  EXPECT_EQ(a.requests_by_node, b.requests_by_node);
-  EXPECT_EQ(a.plan_solves, b.plan_solves);
-  EXPECT_EQ(a.plan_simplex_iterations, b.plan_simplex_iterations);
-  EXPECT_EQ(a.plan_rounds, b.plan_rounds);
-  EXPECT_EQ(a.plan_columns_generated, b.plan_columns_generated);
-  EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum);
-  EXPECT_EQ(a.plan_warm_start_hits, b.plan_warm_start_hits);
-  EXPECT_EQ(a.plan_refactorizations, b.plan_refactorizations);
-  EXPECT_EQ(a.plan_eta_length_max, b.plan_eta_length_max);
-  EXPECT_EQ(a.replans, b.replans);
 }
 
 TEST(RunAlgorithm, ResolvesEveryBuiltinAndRejectsUnknownNames) {

@@ -9,9 +9,10 @@
 // failure-burst trigger and capacity-aware masters — and asserts the two
 // determinism contracts end to end:
 //
-//   * bit-identical SimMetrics at OLIVE_THREADS-equivalent pricing thread
-//     counts {1, 4} (the engine's install slots are policy-fixed and
-//     failure handling is trace-driven, so threading must be invisible);
+//   * bit-identical SimMetrics, fast-path counters included, at library
+//     widths {1, 4} (pricing threads and OLIVE_THREADS; the engine's
+//     install slots are policy-fixed, failure handling is trace-driven and
+//     admission is sequential, so threading must be invisible);
 //   * Dense vs SparseLU basis equality: the same runs driven by the dense
 //     reference basis produce identical costs and counters.
 #include <gtest/gtest.h>
@@ -25,6 +26,8 @@
 #include "engine/engine.hpp"
 #include "lp/simplex.hpp"
 #include "util/rng.hpp"
+
+#include "metrics_equality.hpp"
 
 namespace olive {
 namespace {
@@ -75,13 +78,15 @@ FuzzShape shape_from_seed(std::uint64_t seed) {
   return shape;
 }
 
-/// One full engine-driven run of the shape at the given pricing thread
-/// count and master-LP basis.  `opt` selects the OLIVE admission path —
-/// the fast-path differential below runs the same shape with the cache /
-/// speculation machinery on and off.
+/// One full engine-driven run of the shape at the given library width
+/// (pricing threads and OLIVE_THREADS) and master-LP basis.  `opt` selects
+/// the OLIVE admission path — the fast-path differential below runs the
+/// same shape with the memo / class-max / preempt-index shortcuts on and
+/// off.
 core::SimMetrics run_shape(const FuzzShape& shape, int threads,
                            lp::BasisKind basis,
                            core::OliveOptions opt = {}) {
+  const ScopedOliveThreads width(threads);
   core::ScenarioConfig cfg = shape.cfg;
   cfg.plan.threads = threads;
   cfg.plan.lp.basis = basis;
@@ -103,37 +108,11 @@ core::SimMetrics run_shape(const FuzzShape& shape, int threads,
   return eng.run(algo, sc.online);
 }
 
-/// Full bitwise comparison over every deterministic SimMetrics field,
-/// including the substrate-dynamics counters.
-void expect_identical(const core::SimMetrics& a, const core::SimMetrics& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.offered, b.offered) << what;
-  EXPECT_EQ(a.accepted, b.accepted) << what;
-  EXPECT_EQ(a.rejected, b.rejected) << what;
-  EXPECT_EQ(a.preempted, b.preempted) << what;
-  EXPECT_EQ(a.offered_demand, b.offered_demand) << what;
-  EXPECT_EQ(a.rejected_demand, b.rejected_demand) << what;
-  EXPECT_EQ(a.resource_cost, b.resource_cost) << what;
-  EXPECT_EQ(a.rejection_cost, b.rejection_cost) << what;
-  EXPECT_EQ(a.offered_series, b.offered_series) << what;
-  EXPECT_EQ(a.allocated_series, b.allocated_series) << what;
-  EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app) << what;
-  EXPECT_EQ(a.requests_by_node, b.requests_by_node) << what;
-  EXPECT_EQ(a.plan_solves, b.plan_solves) << what;
-  EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum) << what;
-  EXPECT_EQ(a.replans, b.replans) << what;
-  EXPECT_EQ(a.failures, b.failures) << what;
-  EXPECT_EQ(a.failure_hit, b.failure_hit) << what;
-  EXPECT_EQ(a.migrations, b.migrations) << what;
-  EXPECT_EQ(a.sla_violations, b.sla_violations) << what;
-  EXPECT_EQ(a.repairs_patched, b.repairs_patched) << what;
-  EXPECT_EQ(a.repairs_reembedded, b.repairs_reembedded) << what;
-  EXPECT_EQ(a.repairs_batched, b.repairs_batched) << what;
-}
-
 class FailureFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FailureFuzzTest, BitIdenticalAcrossThreadCounts) {
+  // Every deterministic field, the fast-path counters included: admission
+  // is sequential, so not even a diagnostic may move with the width.
   const FuzzShape shape = shape_from_seed(GetParam());
   const core::SimMetrics serial =
       run_shape(shape, 1, lp::BasisKind::SparseLU);
@@ -141,31 +120,25 @@ TEST_P(FailureFuzzTest, BitIdenticalAcrossThreadCounts) {
   EXPECT_GT(serial.failures, 0);
   const core::SimMetrics parallel =
       run_shape(shape, 4, lp::BasisKind::SparseLU);
-  expect_identical(serial, parallel,
-                   "threads 1 vs 4, seed " + std::to_string(GetParam()));
+  expect_metrics_identical(
+      serial, parallel, "threads 1 vs 4, seed " + std::to_string(GetParam()));
 }
 
 TEST_P(FailureFuzzTest, FastPathCacheBitIdentical) {
   // The admission fast path (docs/olive-fastpath.md) under the full
   // substrate-dynamics gauntlet: failures, preemption, rescales, plan
-  // hot-swaps.  Decisions must be bit-identical with the cache off, with it
-  // on but unspeculated (spec_threads = 1), and with forced 4-wide
-  // speculation — FastPathStats are diagnostics and excluded on purpose.
+  // hot-swaps.  Decisions must be bit-identical with it off and on; the
+  // fastpath_* counters count the shortcuts themselves and are skipped.
   const FuzzShape shape = shape_from_seed(GetParam());
   core::OliveOptions off;
   off.enable_fastpath = false;
-  core::OliveOptions cache_only;
-  cache_only.spec_threads = 1;
-  core::OliveOptions spec4;
-  spec4.spec_threads = 4;
   const core::SimMetrics base =
       run_shape(shape, 1, lp::BasisKind::SparseLU, off);
   EXPECT_GT(base.offered, 0);
-  expect_identical(base,
-                   run_shape(shape, 1, lp::BasisKind::SparseLU, cache_only),
-                   "fastpath off vs cache, seed " + std::to_string(GetParam()));
-  expect_identical(base, run_shape(shape, 1, lp::BasisKind::SparseLU, spec4),
-                   "fastpath off vs spec4, seed " + std::to_string(GetParam()));
+  expect_metrics_identical(
+      base, run_shape(shape, 1, lp::BasisKind::SparseLU),
+      "fastpath off vs on, seed " + std::to_string(GetParam()),
+      {.fastpath = true});
 }
 
 TEST_P(FailureFuzzTest, DenseAndSparseLuCostsMatch) {
@@ -179,8 +152,9 @@ TEST_P(FailureFuzzTest, DenseAndSparseLuCostsMatch) {
   const core::SimMetrics sparse =
       run_shape(shape, 1, lp::BasisKind::SparseLU);
   const core::SimMetrics dense = run_shape(shape, 1, lp::BasisKind::Dense);
-  expect_identical(sparse, dense,
-                   "sparse vs dense, seed " + std::to_string(GetParam()));
+  expect_metrics_identical(
+      sparse, dense, "sparse vs dense, seed " + std::to_string(GetParam()),
+      {.solver_work = true});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FailureFuzzTest,

@@ -30,6 +30,8 @@
 #include "workload/stream.hpp"
 #include "workload/tracegen.hpp"
 
+#include "metrics_equality.hpp"
+
 namespace olive {
 namespace {
 
@@ -124,37 +126,6 @@ TEST(LatencyHistogram, EmptyHistogramReportsZeroAtEveryPercentile) {
 }
 
 // -------------------------------------------------- Equivalence lockdown
-
-/// Bitwise equality over every deterministic SimMetrics field (wall-clock
-/// diagnostics excluded — the same exclusion the stream tests use).
-void expect_metrics_identical(const core::SimMetrics& a,
-                              const core::SimMetrics& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.preempted, b.preempted);
-  EXPECT_EQ(a.offered_demand, b.offered_demand);
-  EXPECT_EQ(a.rejected_demand, b.rejected_demand);
-  EXPECT_EQ(a.resource_cost, b.resource_cost);
-  EXPECT_EQ(a.rejection_cost, b.rejection_cost);
-  EXPECT_EQ(a.offered_series, b.offered_series);
-  EXPECT_EQ(a.allocated_series, b.allocated_series);
-  EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app);
-  EXPECT_EQ(a.requests_by_node, b.requests_by_node);
-  EXPECT_EQ(a.replans, b.replans);
-  EXPECT_EQ(a.plan_solves, b.plan_solves);
-  EXPECT_EQ(a.plan_simplex_iterations, b.plan_simplex_iterations);
-  EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].id, b.records[i].id) << "record " << i;
-    EXPECT_EQ(a.records[i].arrival, b.records[i].arrival) << "record " << i;
-    EXPECT_EQ(a.records[i].kind, b.records[i].kind) << "record " << i;
-    EXPECT_EQ(a.records[i].preempted_at, b.records[i].preempted_at)
-        << "record " << i;
-  }
-}
 
 class ServeEquivalence : public ::testing::Test {
  protected:

@@ -18,6 +18,8 @@
 #include "workload/stream.hpp"
 #include "workload/tracegen.hpp"
 
+#include "metrics_equality.hpp"
+
 namespace olive {
 namespace {
 
@@ -31,41 +33,6 @@ void expect_traces_identical(const workload::Trace& a,
     EXPECT_EQ(a[i].ingress, b[i].ingress) << "request " << i;
     EXPECT_EQ(a[i].app, b[i].app) << "request " << i;
     EXPECT_EQ(a[i].demand, b[i].demand) << "request " << i;  // bitwise
-  }
-}
-
-/// Bitwise equality over every deterministic SimMetrics field (wall-clock
-/// fields excluded).
-void expect_metrics_identical(const core::SimMetrics& a,
-                              const core::SimMetrics& b) {
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.preempted, b.preempted);
-  EXPECT_EQ(a.offered_demand, b.offered_demand);
-  EXPECT_EQ(a.rejected_demand, b.rejected_demand);
-  EXPECT_EQ(a.resource_cost, b.resource_cost);
-  EXPECT_EQ(a.rejection_cost, b.rejection_cost);
-  EXPECT_EQ(a.offered_series, b.offered_series);
-  EXPECT_EQ(a.allocated_series, b.allocated_series);
-  EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app);
-  EXPECT_EQ(a.requests_by_node, b.requests_by_node);
-  EXPECT_EQ(a.replans, b.replans);
-  EXPECT_EQ(a.plan_solves, b.plan_solves);
-  EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.failure_hit, b.failure_hit);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.sla_violations, b.sla_violations);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const core::RequestRecord& x = a.records[i];
-    const core::RequestRecord& y = b.records[i];
-    EXPECT_EQ(x.id, y.id) << "record " << i;
-    EXPECT_EQ(x.arrival, y.arrival) << "record " << i;
-    EXPECT_EQ(x.kind, y.kind) << "record " << i;
-    EXPECT_EQ(x.preempted_at, y.preempted_at) << "record " << i;
   }
 }
 
