@@ -26,10 +26,11 @@ core::Scenario make_scenario(const std::string& topo) {
 void BM_TreeDpEmbedding(benchmark::State& state) {
   const auto sc = make_scenario("Iris");
   const auto costs = core::EffectiveCosts::plain(sc.substrate);
-  const net::AllPairsShortestPaths apsp(sc.substrate, costs.link_weight);
+  const net::LazyShortestPaths paths(sc.substrate, costs.link_weight);
   for (auto _ : state) {
-    const auto emb = core::min_cost_tree_embedding(
-        sc.substrate, sc.apps[0].topology, 10, costs, apsp);
+    const auto emb =
+        core::MinCostTreeDP(sc.substrate, sc.apps[0].topology, costs, paths)
+            .embed(10);
     benchmark::DoNotOptimize(emb);
   }
 }

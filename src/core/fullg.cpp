@@ -3,28 +3,32 @@
 #include <algorithm>
 
 #include "core/embedder.hpp"
+#include "lp/mip.hpp"
 #include "lp/model.hpp"
 #include "net/embedding.hpp"
 #include "util/error.hpp"
 
 namespace olive::core {
 
-lp::MipOptions FullGreedyEmbedder::default_mip_options() {
+namespace {
+
+// The ILP only runs when the exact DP fast path hits a joint-capacity
+// collision.  Per-request embedding LPs are near-integral (root-optimal in
+// the vast majority of cases), so a small node budget almost never binds;
+// when it does, the best incumbent is used — FULLG is a reference baseline
+// the paper itself calls impractical (~130x QUICKG's runtime).
+const lp::MipOptions kMipOptions = [] {
   lp::MipOptions opts;
-  // The ILP only runs when the exact DP fast path hits a joint-capacity
-  // collision.  Per-request embedding LPs are near-integral (root-optimal
-  // in the vast majority of cases), so a small node budget almost never
-  // binds; when it does, the best incumbent is used — FULLG is a reference
-  // baseline the paper itself calls impractical (~130x QUICKG's runtime).
   opts.max_nodes = 12;
   opts.lp.max_iterations = 20000;
   return opts;
-}
+}();
+
+}  // namespace
 
 FullGreedyEmbedder::FullGreedyEmbedder(const net::SubstrateNetwork& s,
-                                       const std::vector<net::Application>& apps,
-                                       lp::MipOptions mip_options)
-    : substrate_(s), apps_(apps), mip_options_(mip_options), load_(s) {}
+                                       const std::vector<net::Application>& apps)
+    : substrate_(s), apps_(apps), load_(s) {}
 
 void FullGreedyEmbedder::reset() {
   load_.reset();
@@ -157,7 +161,7 @@ EmbedOutcome FullGreedyEmbedder::embed(const workload::Request& r) {
     }
   }
 
-  auto res = lp::solve_mip(m, int_cols, mip_options_);
+  auto res = lp::solve_mip(m, int_cols, kMipOptions);
   if (res.x.empty()) return EmbedOutcome{};  // infeasible or no incumbent
 
   // Extract the embedding.

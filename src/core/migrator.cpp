@@ -88,7 +88,7 @@ std::optional<net::Embedding> Migrator::repair(const workload::Request& r,
     }
   }
   if (auto e = greedy_collocated_embedding(substrate_, vn, r.ingress,
-                                           r.demand, load)) {
+                                           r.demand, load, link_costs_)) {
     ++stats_.reembeds;
     if (stage) *stage = RepairStage::Reembedded;
     return e;

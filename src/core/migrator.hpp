@@ -9,11 +9,12 @@
 //  1. path patch — every VNF placement still fits, so only the broken
 //     substrate paths are re-routed (one capacity-filtered Dijkstra per
 //     broken virtual link, min-cost on the per-CU link costs);
-//  2. full re-embed — the capacity-filtered exact tree-DP
-//     (capacitated_min_cost_tree_embedding, the FULLG fast path, built on
-//     LazyShortestPaths + the MinCostTreeDP recurrences) with the root θ
-//     still pinned to the request's ingress;
-//  3. greedy fallback — GREEDYEMBED's least-cost collocated embedding.
+//  2. full re-embed — capacitated_min_cost_tree_embedding, the FULLG fast
+//     path: the MinCostTreeDP recurrence with a residual-capacity filter on
+//     hosts and per-link-size filtered LazyShortestPaths, the root θ still
+//     pinned to the request's ingress; kept only if the joint load fits;
+//  3. greedy fallback — GREEDYEMBED's least-cost collocated embedding on
+//     the cached per-CU link costs.
 //
 // When one event breaks *several* embeddings at once, repairing them one at
 // a time in id order lets the early requests grab residual capacity the

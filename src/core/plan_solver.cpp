@@ -71,6 +71,9 @@ std::uint64_t mix64(std::uint64_t tag, std::uint64_t a,
   return smix64(smix64(smix64(tag) ^ a) ^ b);
 }
 
+/// A priced column enters the master only below this reduced cost.
+constexpr double kReducedCostTol = 1e-7;
+
 constexpr std::uint64_t kCapacityRowTag = 1;
 constexpr std::uint64_t kConvexityRowTag = 2;
 constexpr std::uint64_t kQuantileColTag = 3;
@@ -396,7 +399,7 @@ Plan solve_plan_vne(const net::SubstrateNetwork& s,
       // Reduced cost in scaled units: d_c·unitEffCost − μ_c.
       const double mu = res.duals[convexity_row[c]];
       const double rc = agg.demand * priced[c].unit_eff - mu;
-      if (rc >= -config.reduced_cost_tol) continue;
+      if (rc >= -kReducedCostTol) continue;
       if (touches_dead(priced[c].usage)) continue;  // only dead routes left
       if (!seen[c].insert(priced[c].fingerprint).second) continue;  // dup
 

@@ -42,7 +42,6 @@ struct PlanVneConfig {
   /// expensive substrate element (per CU).
   double psi = -1.0;
   int max_rounds = 60;          ///< column-generation round limit
-  double reduced_cost_tol = 1e-7;
   /// Pricing parallelism: tree-DP + column search run per application on
   /// the shared thread pool.  0 selects olive::default_thread_count()
   /// (OLIVE_THREADS env, else hardware concurrency); 1 forces the exact

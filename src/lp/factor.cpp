@@ -11,6 +11,12 @@ namespace olive::lp {
 
 namespace {
 
+/// Absolute pivot magnitude below which the basis is declared singular.
+constexpr double kAbsPivotTol = 1e-12;
+/// Threshold (row-relative) Markowitz pivoting: an entry is an eligible
+/// pivot only if |a_ij| >= kRelPivotTol * max_j |a_ij| over its row.
+constexpr double kRelPivotTol = 0.05;
+
 /// Sorted-row representation of the active submatrix during elimination.
 struct WorkRow {
   std::vector<int> cols;
@@ -255,7 +261,7 @@ void BasisFactor::factorize_impl(int m, const std::vector<FactorColumn>& cols,
       OLIVE_ASSERT(holders.size() == 1);
       const int i = holders[0];
       const double v = rows[i].vals[rows[i].find(j)];
-      if (std::abs(v) <= options_.abs_pivot_tol) {
+      if (std::abs(v) <= kAbsPivotTol) {
         if (relaxed) {
           // Numerically zero column: retire it unpivoted and delete its
           // lone entry.
@@ -290,7 +296,7 @@ void BasisFactor::factorize_impl(int m, const std::vector<FactorColumn>& cols,
       if (!row_active[i] || rows[i].size() != 1) continue;
       const int j = rows[i].cols[0];
       const double v = rows[i].vals[0];
-      if (std::abs(v) <= options_.abs_pivot_tol) {
+      if (std::abs(v) <= kAbsPivotTol) {
         if (relaxed) {
           // Numerically zero row: drop it uncovered and delete its entry.
           rows[i].cols.clear();
@@ -329,8 +335,7 @@ void BasisFactor::factorize_impl(int m, const std::vector<FactorColumn>& cols,
       double row_max = 0;
       for (int e = 0; e < r.size(); ++e)
         row_max = std::max(row_max, std::abs(r.vals[e]));
-      const double threshold =
-          std::max(options_.abs_pivot_tol, options_.rel_pivot_tol * row_max);
+      const double threshold = std::max(kAbsPivotTol, kRelPivotTol * row_max);
       for (int e = 0; e < r.size(); ++e) {
         if (std::abs(r.vals[e]) < threshold) continue;
         const int j = r.cols[e];
@@ -464,7 +469,7 @@ void BasisFactor::btran(std::vector<double>& x) const {
 
 bool BasisFactor::update(int r, const std::vector<double>& alpha) {
   OLIVE_ASSERT(r >= 0 && r < m_);
-  if (std::abs(alpha[r]) <= options_.abs_pivot_tol) return false;
+  if (std::abs(alpha[r]) <= kAbsPivotTol) return false;
   Eta eta;
   eta.r = r;
   eta.pivot = alpha[r];

@@ -36,11 +36,6 @@ struct FactorColumn {
 };
 
 struct FactorOptions {
-  /// Absolute pivot magnitude below which the basis is declared singular.
-  double abs_pivot_tol = 1e-12;
-  /// Threshold (row-relative) Markowitz pivoting: an entry is an eligible
-  /// pivot only if |a_ij| >= rel_pivot_tol * max_j |a_ij| over its row.
-  double rel_pivot_tol = 0.05;
   /// Refactorize once the eta file reaches this many etas.
   int max_etas = 64;
   /// ... or once the accumulated eta nonzeros exceed this multiple of the

@@ -10,6 +10,12 @@
 namespace olive::lp {
 
 namespace {
+/// Primal feasibility tolerance (absolute, on variable bounds).
+constexpr double kFeasTol = 1e-7;
+/// Phase 1 ending above this infeasibility means the LP is infeasible.
+constexpr double kPhase1FailTol = 1e-6;
+/// Reduced-cost optimality tolerance.
+constexpr double kOptTol = 1e-9;
 constexpr double kPivotTol = 1e-9;
 constexpr int kDegenerateRunForBland = 40;
 /// Hard cap on pivots between refactorizations (both modes).  SparseLU
@@ -165,8 +171,7 @@ void Simplex::crash_basis_from_residuals() {
   for (int r = 0; r < n_rows_; ++r) {
     const int slack = slack_col_[r];
     const Column& s = cols_[slack];
-    if (residual[r] >= s.lo - options_.feas_tol &&
-        residual[r] <= s.up + options_.feas_tol) {
+    if (residual[r] >= s.lo - kFeasTol && residual[r] <= s.up + kFeasTol) {
       basis_[r] = slack;
       status_[slack] = VarStatus::Basic;
       xb_[r] = residual[r];
@@ -294,14 +299,14 @@ double Simplex::reduced_cost(int c, const std::vector<double>& y,
 
 bool Simplex::price_eligible(VarStatus st, int c, double d, double* score,
                              int* dir) const {
-  // Eligibility (reduced cost beyond opt_tol in the improving direction) is
+  // Eligibility (reduced cost beyond kOptTol in the improving direction) is
   // rule-independent; only the score that ranks eligible columns changes.
-  if (st == VarStatus::AtLower && d < -options_.opt_tol) {
+  if (st == VarStatus::AtLower && d < -kOptTol) {
     *score = options_.pricing == PricingRule::Dantzig ? -d : d * d / weight_[c];
     *dir = +1;
     return true;
   }
-  if (st == VarStatus::AtUpper && d > options_.opt_tol) {
+  if (st == VarStatus::AtUpper && d > kOptTol) {
     *score = options_.pricing == PricingRule::Dantzig ? d : d * d / weight_[c];
     *dir = -1;
     return true;
@@ -383,10 +388,10 @@ int Simplex::price_full_scan(const std::vector<double>& y,
       !bland && n >= options_.partial_pricing_min_cols;
   scratch_eligible_.clear();
   int best = -1, best_dir = 0;
-  // Weighted scores (d^2/w) can be legitimately below opt_tol for an
+  // Weighted scores (d^2/w) can be legitimately below kOptTol for an
   // eligible column, so only Dantzig may use the tolerance as a floor.
   double best_score =
-      options_.pricing == PricingRule::Dantzig ? options_.opt_tol : 0.0;
+      options_.pricing == PricingRule::Dantzig ? kOptTol : 0.0;
   double best_rc = 0;
   for (int c = 0; c < n; ++c) {
     const VarStatus st = status_[c];
@@ -448,7 +453,7 @@ int Simplex::price(const std::vector<double>& y, const std::vector<double>& cost
   // the current duals), dropping the ones that are no longer attractive.
   int best = -1, best_dir = 0;
   double best_score =
-      options_.pricing == PricingRule::Dantzig ? options_.opt_tol : 0.0;
+      options_.pricing == PricingRule::Dantzig ? kOptTol : 0.0;
   double best_rc = 0;
   std::size_t kept = 0;
   for (const int c : candidates_) {
@@ -616,7 +621,7 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
     if (iteration_budget-- <= 0) return finish(Status::IterationLimit, iters);
     ++iters;
 
-    if (phase1 && phase1_infeasibility() <= options_.feas_tol)
+    if (phase1 && phase1_infeasibility() <= kFeasTol)
       return finish(Status::Optimal, iters);
 
     int dir = 0;
@@ -752,10 +757,10 @@ SolveResult Simplex::solve() {
   long budget = options_.max_iterations;
   long phase1_iterations = 0;
 
-  if (phase1_infeasibility() > options_.feas_tol) {
+  if (phase1_infeasibility() > kFeasTol) {
     SolveResult p1 = run(/*phase1=*/true, budget);
     if (p1.status == Status::IterationLimit) return p1;
-    if (phase1_infeasibility() > std::max(options_.feas_tol, 1e-6)) {
+    if (phase1_infeasibility() > kPhase1FailTol) {
       p1.status = Status::Infeasible;
       return p1;
     }
@@ -785,10 +790,10 @@ SolveResult Simplex::resolve() {
     // short phase 1 from the mostly-warm basis, then optimize as usual.
     needs_phase1_ = false;
     long phase1_iterations = 0;
-    if (phase1_infeasibility() > options_.feas_tol) {
+    if (phase1_infeasibility() > kFeasTol) {
       SolveResult p1 = run(/*phase1=*/true, budget);
       if (p1.status == Status::IterationLimit) return p1;
-      if (phase1_infeasibility() > std::max(options_.feas_tol, 1e-6)) {
+      if (phase1_infeasibility() > kPhase1FailTol) {
         // The repair basis could not reach feasibility (the true problem is
         // feasible, so this is a numerical dead end): restart cold.
         SolveResult cold = solve();
@@ -1137,8 +1142,8 @@ bool Simplex::try_warm_start(const WarmStart& ws,
     std::vector<int> violated;
     for (int r = 0; r < n_rows_; ++r) {
       const Column& bcol = cols_[basis_[r]];
-      if (xb_[r] < bcol.lo - options_.feas_tol ||
-          xb_[r] > bcol.up + options_.feas_tol)
+      if (xb_[r] < bcol.lo - kFeasTol ||
+          xb_[r] > bcol.up + kFeasTol)
         violated.push_back(r);
     }
     if (violated.empty()) break;

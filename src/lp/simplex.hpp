@@ -81,13 +81,9 @@ enum class PricingRule { Dantzig, SteepestEdge };
 
 struct SimplexOptions {
   long max_iterations = 200000;
-  /// Primal feasibility tolerance (absolute, on variable bounds).
-  double feas_tol = 1e-7;
-  /// Reduced-cost optimality tolerance.
-  double opt_tol = 1e-9;
   /// Basis representation (see header comment).
   BasisKind basis = BasisKind::SparseLU;
-  /// Sparse-LU pivoting tolerances and eta-file refactorization triggers.
+  /// Sparse-LU eta-file refactorization triggers.
   FactorOptions factor;
   /// How many columns a full scan keeps as candidates for candidate-list
   /// partial pricing (full scan only when the list runs dry).

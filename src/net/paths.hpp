@@ -2,8 +2,9 @@
 // optional usability filter (e.g. "links with enough residual capacity").
 //
 // Used by GREEDYEMBED's one-Dijkstra collocated search (§III-C) and by the
-// PLAN-VNE pricing step, which re-runs all-pairs shortest paths whenever the
-// LP duals change the effective link costs.
+// tree-DP embedders, which query lazily memoized per-source trees: the
+// PLAN-VNE pricing step builds a fresh set whenever the LP duals change the
+// effective link costs.
 #pragma once
 
 #include <atomic>
@@ -34,6 +35,8 @@ ShortestPathTree dijkstra(
     const std::function<bool(LinkId)>& usable = {});
 
 /// All-pairs distances/trees (one Dijkstra per node, all computed eagerly).
+/// The program uses LazyShortestPaths; this is the eager reference the
+/// tests check it and the tree DP against.
 class AllPairsShortestPaths {
  public:
   AllPairsShortestPaths(const SubstrateNetwork& s,

@@ -214,10 +214,6 @@ FailureTrace generate_failure_trace(const net::SubstrateNetwork& substrate,
   std::vector<int> up_at(substrate.element_count(), 0);
   int nodes_down = 0, links_down = 0;
 
-  const int from = std::max(0, config.from_slot);
-  const int to =
-      config.to_slot < 0 ? horizon : std::min(config.to_slot, horizon);
-
   const auto clamp_back = [horizon](int back) {
     return back < horizon ? back : horizon + 1;  // +1: never recovers
   };
@@ -260,55 +256,53 @@ FailureTrace generate_failure_trace(const net::SubstrateNetwork& substrate,
       }
     }
 
-    if (t >= from && t < to) {
-      const auto sweep = [&](const std::vector<int>& elems, double mtbf,
-                             int& down_count) {
-        if (mtbf <= 0) return;
-        const double hazard = 1.0 / mtbf;
-        const int max_down = static_cast<int>(
-            std::floor(config.max_down_fraction * elems.size()));
-        for (const int e : elems) {
-          if (up_at[e] != 0) continue;  // still out
-          if (!rng.chance(hazard)) continue;
-          if (down_count >= max_down) continue;
-          take_down(t, e, clamp_back(t + draw_outage(rng, config.repair_mean)));
-        }
-      };
-      sweep(nodes, config.node_mtbf, nodes_down);
-      sweep(links, config.link_mtbf, links_down);
+    const auto sweep = [&](const std::vector<int>& elems, double mtbf,
+                           int& down_count) {
+      if (mtbf <= 0) return;
+      const double hazard = 1.0 / mtbf;
+      const int max_down = static_cast<int>(
+          std::floor(config.max_down_fraction * elems.size()));
+      for (const int e : elems) {
+        if (up_at[e] != 0) continue;  // still out
+        if (!rng.chance(hazard)) continue;
+        if (down_count >= max_down) continue;
+        take_down(t, e, clamp_back(t + draw_outage(rng, config.repair_mean)));
+      }
+    };
+    sweep(nodes, config.node_mtbf, nodes_down);
+    sweep(links, config.link_mtbf, links_down);
 
-      if (group_failures) {
-        const double hazard = 1.0 / config.group_mtbf;
-        const int max_nodes = static_cast<int>(
-            std::floor(config.max_down_fraction * nodes.size()));
-        const int max_links = static_cast<int>(
-            std::floor(config.max_down_fraction * links.size()));
-        for (const SharedRiskGroup& g : groups) {
-          bool any_up = false;
-          for (const int e : g.elements)
-            if (up_at[e] == 0) { any_up = true; break; }
-          if (!any_up) continue;  // no draw: fully-down groups are inert
-          if (!rng.chance(hazard)) continue;
-          // One outage-length draw per incident: the whole group shares it.
-          const int back =
-              clamp_back(t + draw_outage(rng, config.repair_mean));
-          for (const int e : g.elements) {
-            if (up_at[e] != 0) continue;
-            const bool is_node = substrate.element_is_node(e);
-            if (is_node ? nodes_down >= max_nodes : links_down >= max_links)
-              continue;  // truncated by max_down_fraction
-            take_down(t, e, back);
-          }
+    if (group_failures) {
+      const double hazard = 1.0 / config.group_mtbf;
+      const int max_nodes = static_cast<int>(
+          std::floor(config.max_down_fraction * nodes.size()));
+      const int max_links = static_cast<int>(
+          std::floor(config.max_down_fraction * links.size()));
+      for (const SharedRiskGroup& g : groups) {
+        bool any_up = false;
+        for (const int e : g.elements)
+          if (up_at[e] == 0) { any_up = true; break; }
+        if (!any_up) continue;  // no draw: fully-down groups are inert
+        if (!rng.chance(hazard)) continue;
+        // One outage-length draw per incident: the whole group shares it.
+        const int back =
+            clamp_back(t + draw_outage(rng, config.repair_mean));
+        for (const int e : g.elements) {
+          if (up_at[e] != 0) continue;
+          const bool is_node = substrate.element_is_node(e);
+          if (is_node ? nodes_down >= max_nodes : links_down >= max_links)
+            continue;  // truncated by max_down_fraction
+          take_down(t, e, back);
         }
       }
+    }
 
-      if (config.rescale_rate > 0 && !nodes.empty() &&
-          rng.chance(config.rescale_rate)) {
-        const int e = nodes[rng.below(nodes.size())];
-        const double factor =
-            rng.uniform(config.rescale_min, config.rescale_max);
-        trace.push_back({t, FailureKind::Rescale, e, factor});
-      }
+    if (config.rescale_rate > 0 && !nodes.empty() &&
+        rng.chance(config.rescale_rate)) {
+      const int e = nodes[rng.below(nodes.size())];
+      const double factor =
+          rng.uniform(config.rescale_min, config.rescale_max);
+      trace.push_back({t, FailureKind::Rescale, e, factor});
     }
   }
   return trace;

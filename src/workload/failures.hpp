@@ -99,11 +99,6 @@ struct FailureConfig {
   double rescale_rate = 0;
   double rescale_min = 0.5;
   double rescale_max = 1.0;
-  /// Slot window events may occur in: [from_slot, to_slot); to_slot < 0
-  /// selects the generation horizon.  Recoveries may land after to_slot.
-  int from_slot = 0;
-  int to_slot = -1;
-
   /// Mean slots between correlated failures per shared-risk group (per-slot
   /// hazard 1/group_mtbf per group with at least one up member).  0
   /// disables group failures even when groups are configured.

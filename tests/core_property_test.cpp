@@ -2,6 +2,9 @@
 //
 //  * The tree-DP embedder matches exhaustive enumeration on random
 //    instances (uncapacitated and capacity-filtered variants).
+//  * The capacity-filtered embedder's exact output is pinned by a golden
+//    fingerprint over the evaluation topologies, and on an unloaded
+//    substrate it equals the plain MinCostTreeDP embedding exactly.
 //  * OLIVE conserves resources exactly: arbitrary interleavings of
 //    arrivals and departures never overdraw an element, and releasing
 //    everything returns the substrate to full capacity.
@@ -17,7 +20,9 @@
 #include "core/olive.hpp"
 #include "core/plan_solver.hpp"
 #include "net/paths.hpp"
+#include "topo/topologies.hpp"
 #include "util/rng.hpp"
+#include "workload/appgen.hpp"
 
 namespace olive::core {
 namespace {
@@ -124,7 +129,8 @@ TEST_P(DpSweep, UncapacitatedDpMatchesBruteForce) {
   const auto ingress = static_cast<net::NodeId>(rng.below(s.num_nodes()));
   const auto costs = EffectiveCosts::plain(s);
   const net::AllPairsShortestPaths apsp(s, costs.link_weight);
-  const auto emb = min_cost_tree_embedding(s, vn, ingress, costs, apsp);
+  const net::LazyShortestPaths paths(s, costs.link_weight);
+  const auto emb = MinCostTreeDP(s, vn, costs, paths).embed(ingress);
   ASSERT_TRUE(emb.has_value());
   ASSERT_TRUE(net::is_valid_embedding(s, vn, *emb));
   EXPECT_NEAR(embedding_cost(s, vn, *emb),
@@ -155,16 +161,112 @@ TEST_P(DpSweep, CapacitatedDpMatchesFilteredBruteForce) {
     return;
   }
   ASSERT_TRUE(net::is_valid_embedding(s, vn, *emb));
-  // Every element individually fits.
-  for (const auto& [elem, amt] : net::unit_usage(s, vn, *emb)) {
-    (void)elem;
-    (void)amt;
-  }
+  // Every VNF (θ is the ingress, not a placement) and every link on each
+  // virtual link's path individually fits the demand.
+  for (int i = 1; i < vn.num_nodes(); ++i)
+    EXPECT_GE(load.residual(s.node_element(emb->node_map[i])),
+              vn.vnode(i).size * demand - 1e-9)
+        << "seed " << GetParam() << " vnode " << i;
+  for (int l = 0; l < vn.num_links(); ++l)
+    for (const net::LinkId sl : emb->link_paths[l])
+      EXPECT_GE(load.residual(s.link_element(sl)),
+                vn.vlink(l).size * demand - 1e-9)
+          << "seed " << GetParam() << " vlink " << l;
   EXPECT_NEAR(embedding_cost(s, vn, *emb), reference, 1e-6)
       << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DpSweep, ::testing::Range(0, 30));
+
+// A random application and ingress for the capacitated sweeps.  Every
+// fourth instance is a GPU chain on the Fig. 10 GPU variant of the
+// topology, so the placement restrictions are exercised too.
+struct CapacitatedInstance {
+  const net::SubstrateNetwork* substrate;
+  net::Application app;
+  net::NodeId ingress;
+};
+
+CapacitatedInstance draw_instance(Rng& rng, int k,
+                                  const net::SubstrateNetwork& base,
+                                  const net::SubstrateNetwork& gpu) {
+  using workload::AppKind;
+  constexpr AppKind kKinds[] = {AppKind::Chain, AppKind::Tree,
+                                AppKind::Accelerator, AppKind::Gpu};
+  const auto& s = kKinds[k % 4] == AppKind::Gpu ? gpu : base;
+  auto app = workload::sample_application(kKinds[k % 4], {}, rng);
+  const auto ingress = static_cast<net::NodeId>(rng.below(s.num_nodes()));
+  return {&s, std::move(app), ingress};
+}
+
+// Pins the capacitated embedder's exact output (node maps and link paths,
+// not only costs) over 1,600 seeded instances.  Residual loads cover 60%
+// of the elements and demands span over three decades, so about a quarter
+// of the instances is infeasible; any drift in the filters or in
+// tie-breaking moves the folded fingerprint.
+TEST(CapacitatedGolden, SweepFingerprintIsPinned) {
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  constexpr std::uint64_t kNoEmbedding = 0x9e3779b97f4a7c15ull;
+  constexpr double kDemandScale[] = {10, 30, 100, 300, 1000, 3000, 10000};
+  Rng rng(stable_hash("capacitated-golden"));
+  std::uint64_t folded = 1469598103934665603ull;
+  int instances = 0;
+  int infeasible = 0;
+  for (const auto& [name, base] : topo::evaluation_topologies(rng)) {
+    const auto gpu = topo::make_gpu_variant(base, rng);
+    for (int k = 0; k < 400; ++k) {
+      const auto inst = draw_instance(rng, k, base, gpu);
+      const auto& s = *inst.substrate;
+      LoadTracker load(s);
+      for (int e = 0; e < s.element_count(); ++e)
+        if (rng.chance(0.6))
+          load.apply({{e, 1.0}},
+                     rng.uniform(0.0, 0.999) * s.element_capacity(e));
+      const double demand =
+          kDemandScale[rng.below(std::size(kDemandScale))] *
+          rng.uniform(1.0, 3.0);
+      const auto emb = capacitated_min_cost_tree_embedding(
+          s, inst.app.topology, inst.ingress, demand, load);
+      if (emb) {
+        ASSERT_TRUE(net::is_valid_embedding(s, inst.app.topology, *emb));
+      }
+      folded = (folded ^ (emb ? net::fingerprint64(*emb) : kNoEmbedding)) *
+               kPrime;
+      ++instances;
+      infeasible += emb ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(instances, 1600);
+  EXPECT_GT(infeasible, 100);
+  EXPECT_LT(infeasible, 1500);
+  EXPECT_EQ(folded, 0x6dc219f07ea42869ull)
+      << std::hex << folded << std::dec << " with " << infeasible
+      << " infeasible";
+}
+
+// With every residual far above the demand, no filter binds: the
+// capacitated embedder must return exactly the plain MinCostTreeDP
+// embedding (same node map, same link paths).
+TEST(CapacitatedGolden, UnloadedEqualsPlainTreeDp) {
+  Rng rng(stable_hash("capacitated-unloaded"));
+  for (const auto& [name, base] : topo::evaluation_topologies(rng)) {
+    const auto gpu = topo::make_gpu_variant(base, rng);
+    for (int k = 0; k < 40; ++k) {
+      const auto inst = draw_instance(rng, k, base, gpu);
+      const auto& s = *inst.substrate;
+      const auto& vn = inst.app.topology;
+      const auto costs = EffectiveCosts::plain(s);
+      const net::LazyShortestPaths paths(s, costs.link_weight);
+      const auto plain = MinCostTreeDP(s, vn, costs, paths).embed(inst.ingress);
+      const auto capacitated = capacitated_min_cost_tree_embedding(
+          s, vn, inst.ingress, rng.uniform(0.1, 10.0), LoadTracker(s));
+      ASSERT_EQ(plain.has_value(), capacitated.has_value()) << name << " " << k;
+      if (!plain) continue;
+      EXPECT_EQ(plain->node_map, capacitated->node_map) << name << " " << k;
+      EXPECT_EQ(plain->link_paths, capacitated->link_paths) << name << " " << k;
+    }
+  }
+}
 
 class OliveConservation : public ::testing::TestWithParam<int> {};
 

@@ -112,8 +112,8 @@ TEST(TreeDp, MatchesBruteForceOnChain) {
   const auto s = tiny_network();
   const auto vn = net::VirtualNetwork::chain({10, 20}, {3, 5});
   const auto costs = EffectiveCosts::plain(s);
-  const net::AllPairsShortestPaths apsp(s, costs.link_weight);
-  const auto emb = min_cost_tree_embedding(s, vn, 0, costs, apsp);
+  const net::LazyShortestPaths paths(s, costs.link_weight);
+  const auto emb = MinCostTreeDP(s, vn, costs, paths).embed(0);
   ASSERT_TRUE(emb.has_value());
   ASSERT_TRUE(net::is_valid_embedding(s, vn, *emb));
   EXPECT_NEAR(embedding_cost(s, vn, *emb, costs),
@@ -124,8 +124,8 @@ TEST(TreeDp, MatchesBruteForceOnTree) {
   const auto s = tiny_network();
   const net::VirtualNetwork vn({0, 1, 1}, {10, 5, 8}, {2, 4, 1});
   const auto costs = EffectiveCosts::plain(s);
-  const net::AllPairsShortestPaths apsp(s, costs.link_weight);
-  const auto emb = min_cost_tree_embedding(s, vn, 2, costs, apsp);
+  const net::LazyShortestPaths paths(s, costs.link_weight);
+  const auto emb = MinCostTreeDP(s, vn, costs, paths).embed(2);
   ASSERT_TRUE(emb.has_value());
   ASSERT_TRUE(net::is_valid_embedding(s, vn, *emb));
   EXPECT_NEAR(embedding_cost(s, vn, *emb, costs),
@@ -138,8 +138,8 @@ TEST(TreeDp, RespectsGpuPlacement) {
   auto vn = net::VirtualNetwork::chain({10, 20}, {3, 5});
   vn.vnode(2).gpu = true;  // second VNF needs the GPU node
   const auto costs = EffectiveCosts::plain(s);
-  const net::AllPairsShortestPaths apsp(s, costs.link_weight);
-  const auto emb = min_cost_tree_embedding(s, vn, 0, costs, apsp);
+  const net::LazyShortestPaths paths(s, costs.link_weight);
+  const auto emb = MinCostTreeDP(s, vn, costs, paths).embed(0);
   ASSERT_TRUE(emb.has_value());
   EXPECT_EQ(emb->node_map[2], 2);      // forced onto the GPU node
   EXPECT_NE(emb->node_map[1], 2);      // non-GPU VNF barred from it
@@ -152,8 +152,8 @@ TEST(TreeDp, ReturnsNulloptWhenNoPlacementExists) {
   auto vn = net::VirtualNetwork::chain({10}, {3});
   vn.vnode(1).gpu = true;
   const auto costs = EffectiveCosts::plain(s);
-  const net::AllPairsShortestPaths apsp(s, costs.link_weight);
-  EXPECT_FALSE(min_cost_tree_embedding(s, vn, 0, costs, apsp).has_value());
+  const net::LazyShortestPaths paths(s, costs.link_weight);
+  EXPECT_FALSE(MinCostTreeDP(s, vn, costs, paths).embed(0).has_value());
 }
 
 TEST(TreeDp, DualAdjustedCostsSteerAwayFromExpensiveElements) {
@@ -163,8 +163,8 @@ TEST(TreeDp, DualAdjustedCostsSteerAwayFromExpensiveElements) {
   // Make node 1 (cheapest) artificially expensive: the DP must now pick
   // node 2 as host (cost 2) over node 1.
   costs.node_cost[1] = 100.0;
-  const net::AllPairsShortestPaths apsp(s, costs.link_weight);
-  const auto emb = min_cost_tree_embedding(s, vn, 0, costs, apsp);
+  const net::LazyShortestPaths paths(s, costs.link_weight);
+  const auto emb = MinCostTreeDP(s, vn, costs, paths).embed(0);
   ASSERT_TRUE(emb.has_value());
   EXPECT_NE(emb->node_map[1], 1);
 }

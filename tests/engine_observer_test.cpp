@@ -19,7 +19,7 @@ struct RecordingObserver final : Observer {
     enum Kind { SlotBegin, Outcome, Replan, Failure } kind;
     int slot = 0;
     // Outcome payload
-    int request_id = -1;
+    workload::RequestId request_id = -1;
     bool accepted = false;
     // Replan payload
     ReplanEvent replan;
@@ -116,9 +116,10 @@ TEST(EngineObserverHooks, OrderingCountsAndPayloadsUnderReplanAndFailures) {
     }
     EXPECT_EQ(c.slot, seen_slot);
     if (c.kind == Call::Outcome) outcome_seen_this_slot = true;
-    if (c.kind == Call::Replan || c.kind == Call::Failure)
+    if (c.kind == Call::Replan || c.kind == Call::Failure) {
       EXPECT_FALSE(outcome_seen_this_slot)
           << "swap/failure after an outcome in slot " << seen_slot;
+    }
   }
 
   // --- on_outcome: one call per processed arrival, in trace order, with
